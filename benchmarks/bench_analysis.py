@@ -1,5 +1,5 @@
 """Analysis-engine benchmark: cold row-oriented analysis vs. the warm
-columnar/incremental engine, over the same synthetic multi-epoch campaign.
+incremental engine, over the same synthetic multi-epoch campaign.
 
 Per epoch the analysis stack answers three questions: which series
 regressed, how do the scaling series model, and what does the dashboard
@@ -7,9 +7,9 @@ look like now.  The **cold** pass answers them the row-oriented way — a
 full :meth:`RegressionDetector.detect_in_db` rescan per series, Extra-P
 refit from scratch (model cache cleared), ``render_report`` over the raw
 record list.  The **warm** pass answers them through one
-:class:`~repro.analysis.engine.AnalysisEngine`: columnar frame refreshed in
-O(new records), persistent per-series regression state fed only new
-samples, memoized model fits, vectorized dashboard.
+:class:`~repro.analysis.engine.AnalysisEngine` — persistent per-series
+regression state fed only new samples, memoized model fits — plus the same
+``render_report`` (the one dashboard).
 
 Correctness is asserted, not assumed: final regression events, Extra-P
 model strings, and the dashboard text must be identical between passes —
@@ -126,7 +126,8 @@ def run_warm(epoch_records, targets):
             model = engine.model(benchmark, system, "total_time")
             if model is not None:
                 models[(benchmark, system)] = str(model)
-        report = engine.dashboard()
+        with engine.profiler.timer("analysis:dashboard"):
+            report = render_report(db)
     return db, engine, events, models, report
 
 
@@ -154,7 +155,7 @@ def bench(epochs: int, systems, benchmarks) -> dict:
     assert cold_models == warm_models, \
         "memoized Extra-P model strings diverged from fresh fits"
     assert cold_report == warm_report, \
-        "engine dashboard diverged from row-oriented render_report"
+        "warm dashboard diverged from the cold render_report"
     assert cold_db.to_records() == warm_db.to_records()
 
     from repro.analysis.extrap import model_cache

@@ -110,7 +110,7 @@ def bench_parallel_install() -> dict:
     clear_concretization_memo()
     root = Concretizer().concretize_together(["amg2023+caliper"])[0]
     with tempfile.TemporaryDirectory() as d:
-        installer = Installer(Store(Path(d) / "store"), parallel=True)
+        installer = Installer(Store(Path(d) / "store"))
         t0 = time.perf_counter()
         installer.install(root)
         wall = time.perf_counter() - t0

@@ -5,13 +5,7 @@ from . import adiak
 from .caliper import CaliperSession, Profile, RegionNode, annotate, global_session, region
 from .diagnosis import FOM_SUBSYSTEMS, FailureHypothesis, diagnose
 from .dashboard import ascii_plot, render_grid, render_report, render_series
-from .engine import (
-    AnalysisEngine,
-    FrameView,
-    MetricsFrame,
-    OnlineStats,
-    SeriesState,
-)
+from .engine import AnalysisEngine, SeriesState
 from .extrap import (
     DEFAULT_EXPONENTS,
     Measurement,
@@ -29,9 +23,6 @@ from .thicket import Ensemble, ThicketError
 __all__ = [
     "AnalysisEngine",
     "CaliperSession",
-    "FrameView",
-    "MetricsFrame",
-    "OnlineStats",
     "SeriesState",
     "clear_model_cache",
     "model_cache",

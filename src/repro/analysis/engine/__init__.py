@@ -1,22 +1,12 @@
-"""Columnar analysis engine (exaCB-style incremental result analysis).
+"""Incremental analysis engine (exaCB-style incremental result analysis).
 
-``MetricsFrame`` — struct-of-arrays storage with interned string codes,
-zero-copy ``FrameView`` filter/groupby, and generation-counter sync against
-the append-only ``MetricsDatabase``.  ``SeriesState``/``OnlineStats`` —
-incremental regression statistics, bit-identical to batch recomputation.
-``AnalysisEngine`` — ties frame, incremental detectors, memoized Extra-P
-fits, and thread-pool fan-out together with per-stage Profiler timings.
+``SeriesState`` — incremental regression statistics, bit-identical to batch
+recomputation.  ``AnalysisEngine`` — feeds each series' ``SeriesState`` only
+the records appended to the metrics database since its last scan, and
+memoizes Extra-P fits per series, with per-stage Profiler timings.
 """
 
 from .core import AnalysisEngine
-from .frame import FrameView, MetricsFrame, StringPool
-from .incremental import OnlineStats, SeriesState
+from .incremental import SeriesState
 
-__all__ = [
-    "AnalysisEngine",
-    "FrameView",
-    "MetricsFrame",
-    "OnlineStats",
-    "SeriesState",
-    "StringPool",
-]
+__all__ = ["AnalysisEngine", "SeriesState"]

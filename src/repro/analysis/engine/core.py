@@ -1,279 +1,130 @@
-"""The analysis engine: columnar frame + incremental detectors + cached
-model fits + thread-pool fan-out, behind one object.
+"""The analysis engine: incremental regression scans and memoized model fits
+over one :class:`~repro.ci.metricsdb.MetricsDatabase`.
 
-One :class:`AnalysisEngine` wraps a :class:`~repro.ci.metricsdb.MetricsDatabase`
-and keeps every derived analysis artifact warm between epochs:
+One :class:`AnalysisEngine` wraps the database and keeps per-series state
+warm between epochs.  The database's per-``(system, benchmark)`` record
+lists (:meth:`~repro.ci.metricsdb.MetricsDatabase.partition`) are the only
+storage it reads; per series, the engine remembers how many of that
+partition's records it has already consumed:
 
-* :meth:`refresh` syncs the columnar :class:`MetricsFrame` (O(new records));
 * :meth:`detect` feeds only a series' *new* samples into its persistent
-  :class:`SeriesState` — per-epoch regression scans stop rescanning history;
-* :meth:`scan` / :meth:`diagnose` fan independent (benchmark, system, fom)
-  series out over a thread pool;
-* :meth:`model` fits Extra-P over a frame series through the memoized
-  :func:`fit_model`/:func:`fit_multi_term_model` — unchanged series hit;
-* :meth:`dashboard` renders the §5 results dashboard from vectorized frame
-  aggregations, character-identical to the row-oriented
-  :func:`repro.analysis.dashboard.render_report`.
+  :class:`SeriesState`, so per-epoch regression scans stop rescanning
+  history; :meth:`scan` runs it over many series;
+* :meth:`model` returns the last Extra-P fit untouched while no new sample
+  extended the series, and refits through the memoized :func:`fit_model`
+  otherwise.
 
+Both apply the filters of :meth:`RegressionDetector.detect_in_db` and
+:meth:`MetricsDatabase.series`, so results equal the batch path exactly.
 Every stage records wall time into a shared
-:class:`~repro.perf.profiler.Profiler` under ``analysis:*`` stage names, so
-the speedup claims in ``benchmarks/bench_analysis.py`` decompose per stage.
+:class:`~repro.perf.profiler.Profiler` under ``analysis:*`` stage names.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.perf import Profiler
 
-from ..diagnosis import diagnose as _diagnose
-from ..extrap import _copy_multi, _copy_single, fit_model, fit_multi_term_model
-from ..extrap import MultiTermModel
-
-
-def _copy_model(model):
-    """Defensive copy on memo hits so callers can't poison the entry."""
-    if isinstance(model, MultiTermModel):
-        return _copy_multi(model)
-    return _copy_single(model)
+from ..extrap import _copy_single, fit_model
 from ..regression import RegressionEvent
-from .frame import MetricsFrame
-from .incremental import OnlineStats, SeriesState
+from .incremental import SeriesState
 
 __all__ = ["AnalysisEngine"]
 
 #: (benchmark, system, fom_name, higher_is_better)
 Target = Tuple[str, str, str, bool]
 
+#: manifest key of the regression time axis
+EPOCH_KEY = "epoch"
+
 
 class AnalysisEngine:
-    """Incremental, columnar, parallel analysis over a metrics database."""
+    """Incremental analysis over a metrics database."""
 
     def __init__(self, db, threshold: float = 0.10, window: int = 3,
-                 epoch_key: str = "epoch", exclude_flaky: bool = True,
-                 max_workers: Optional[int] = None,
                  profiler: Optional[Profiler] = None):
         self.db = db
         self.threshold = threshold
         self.window = window
-        self.epoch_key = epoch_key
-        self.exclude_flaky = exclude_flaky
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.profiler = profiler or Profiler()
-        self.frame = MetricsFrame(db)
-        #: Target -> (SeriesState, partition rows already consumed)
         self._states: Dict[Target, SeriesState] = {}
+        #: Target -> partition records already consumed
         self._consumed: Dict[Target, int] = {}
-        #: model args -> (partition rows consumed, fitted model)
-        self._model_memo: Dict[tuple, Any] = {}
-        self._lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
+        #: (benchmark, system, fom_name, x_key) -> (records consumed, model)
+        self._model_memo: Dict[tuple, Tuple[int, Any]] = {}
 
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """One persistent worker pool for every fan-out — spawning a pool
-        per scan would cost more than a small scan itself."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="analysis",
-            )
-        return self._pool
-
-    # -- sync ------------------------------------------------------------
-    def refresh(self) -> None:
-        """Absorb database appends into the frame (O(new))."""
-        with self.profiler.timer("analysis:refresh"):
-            self.frame.refresh()
+    def _new_points(self, benchmark: str, system: str, fom_name: str,
+                    x_key: str, start: int) -> Tuple[int, List[tuple]]:
+        """Partition size and the non-flaky ``(x, value)`` points of one
+        series among the partition's records from ``start`` on."""
+        records = self.db.partition(system, benchmark)
+        points = []
+        for rec in records[start:]:
+            if rec.fom_name != fom_name or self.db.is_flaky(rec):
+                continue
+            point = self.db.point(rec, x_key)
+            if point is not None:
+                points.append(point)
+        return len(records), points
 
     # -- regression detection -------------------------------------------
     def _state(self, target: Target) -> SeriesState:
-        with self._lock:
-            state = self._states.get(target)
-            if state is None:
-                state = self._states[target] = SeriesState(
-                    threshold=self.threshold,
-                    window=self.window,
-                    higher_is_better=target[3],
-                )
-                self._consumed[target] = 0
-            return state
+        state = self._states.get(target)
+        if state is None:
+            state = self._states[target] = SeriesState(
+                threshold=self.threshold,
+                window=self.window,
+                higher_is_better=target[3],
+            )
+        return state
 
     def detect(self, benchmark: str, system: str, fom_name: str,
                higher_is_better: bool = True) -> List[RegressionEvent]:
         """Current regression events for one series, absorbing only the
-        samples recorded since this target was last examined.
-
-        Call :meth:`refresh` first (or use :meth:`scan`, which does).
-        """
+        samples recorded since this target was last examined."""
         target: Target = (benchmark, system, fom_name, bool(higher_is_better))
         state = self._state(target)
         with self.profiler.timer("analysis:detect"):
-            consumed = self._consumed[target]
-            partition = self.frame.partition_rows(system, benchmark)
-            if partition.size > consumed:
-                rows = self.frame.series_rows(
-                    benchmark, system, fom_name, self.epoch_key,
-                    exclude_flaky=self.exclude_flaky, start=consumed,
-                )
-                if rows.size:
-                    xvals, _ = self.frame.manifest_column(self.epoch_key)
-                    values = self.frame.column("value")
-                    state.extend(zip(xvals[rows].tolist(),
-                                     values[rows].tolist()))
-                self._consumed[target] = int(partition.size)
+            self._consumed[target], points = self._new_points(
+                benchmark, system, fom_name, EPOCH_KEY,
+                self._consumed.get(target, 0))
+            state.extend(points)
             return state.events(metric=f"{benchmark}/{system}/{fom_name}")
 
     def scan(self, targets: Sequence[Target]) -> List[RegressionEvent]:
-        """Detect over many independent series concurrently; events come
-        back sorted by epoch (stable in target order, matching the serial
-        row-oriented loop)."""
-        self.refresh()
-        targets = list(targets)
+        """Detect over many series; events come back sorted by epoch
+        (stable in target order, matching the batch loop)."""
         with self.profiler.timer("analysis:scan"):
-            if len(targets) <= 1:
-                results = [self.detect(*t) for t in targets]
-            else:
-                # one batched task per worker, not one per target: dispatch
-                # overhead is per-task, and a single series detect is tiny
-                n = min(self.max_workers, len(targets))
-                indexed = list(enumerate(targets))
-                buckets = [indexed[i::n] for i in range(n)]
-
-                def run(bucket):
-                    return [(i, self.detect(*t)) for i, t in bucket]
-
-                results = [None] * len(targets)
-                for future in [self.pool.submit(run, b) for b in buckets]:
-                    for i, found in future.result():
-                        results[i] = found
-        events = [e for found in results for e in found]
+            events = [e for t in targets for e in self.detect(*t)]
         return sorted(events, key=lambda e: e.epoch)
-
-    def series_summary(self, benchmark: str, system: str, fom_name: str,
-                       higher_is_better: bool = True) -> Dict[str, float]:
-        """Welford summary (count/mean/std) of the raw samples this series'
-        state has absorbed — O(1), no history walk."""
-        target: Target = (benchmark, system, fom_name, bool(higher_is_better))
-        return self._state(target).welford.as_dict()
-
-    # -- diagnosis -------------------------------------------------------
-    def diagnose(self, targets: Sequence[Target]) -> List:
-        """Scan every target and rank subsystem-fault hypotheses from the
-        cross-series regression fingerprint."""
-        events = self.scan(targets)
-        with self.profiler.timer("analysis:diagnose"):
-            monitored = [t[2] for t in targets]
-            return _diagnose(events, monitored)
 
     # -- model fitting ---------------------------------------------------
     def model(self, benchmark: str, system: str, fom_name: str,
-              x_key: str = "nprocs", multi: bool = False,
-              exclude_flaky: bool = True):
-        """Extra-P model of a frame series, memoized twice over: per-series
-        consumption tracking (like :meth:`detect`'s) answers "did any new
-        partition row extend *this* series?" in O(new rows) and returns the
-        last model untouched when none did; actual refits go through the
-        process-global fingerprint-keyed cache shared with
-        :func:`fit_model`.
+              x_key: str = "nprocs"):
+        """Extra-P model of a non-flaky series, memoized twice over: if no
+        record since the last fit extended *this* series, the last model
+        returns untouched; actual refits go through the process-global
+        fingerprint-keyed cache of :func:`fit_model`.
 
         Returns ``None`` when the series has no measurements yet."""
-        key = (benchmark, system, fom_name, x_key, bool(multi),
-               bool(exclude_flaky))
+        key = (benchmark, system, fom_name, x_key)
         with self.profiler.timer("analysis:model"):
-            partition = self.frame.partition_rows(system, benchmark)
-            with self._lock:
-                entry = self._model_memo.get(key)
-            if entry is not None:
-                consumed, cached = entry
-                if consumed == partition.size or not self.frame.series_rows(
-                    benchmark, system, fom_name, x_key,
-                    exclude_flaky=exclude_flaky, start=consumed,
-                ).size:
-                    with self._lock:
-                        self._model_memo[key] = (int(partition.size), cached)
-                    return _copy_model(cached)
-            x, y = self.frame.series(benchmark, system, fom_name, x_key,
-                                     exclude_flaky=exclude_flaky)
-            if not x.size:
+            entry = self._model_memo.get(key)
+            size, points = self._new_points(benchmark, system, fom_name, x_key,
+                                            entry[0] if entry else 0)
+            if entry is not None and not points:
+                self._model_memo[key] = (size, entry[1])
+                # a copy, so callers cannot poison the memo entry
+                return _copy_single(entry[1])
+            pairs = self.db.series(benchmark, system, fom_name, x_key,
+                                   exclude_flaky=True)
+            if not pairs:
                 return None
-            pairs = list(zip(x.tolist(), y.tolist()))
-            fitted = (fit_multi_term_model(pairs) if multi
-                      else fit_model(pairs))
-            with self._lock:
-                self._model_memo[key] = (int(partition.size),
-                                         _copy_model(fitted))
+            fitted = fit_model(pairs)
+            self._model_memo[key] = (size, _copy_single(fitted))
             return fitted
 
-    # -- dashboard -------------------------------------------------------
-    def dashboard(self, title: str = "Benchpark results dashboard") -> str:
-        """§5 dashboard, character-identical to ``render_report(db)`` but
-        computed from vectorized frame passes, with the per-FOM grid
-        sections built concurrently."""
-        self.refresh()
-        with self.profiler.timer("analysis:dashboard"):
-            from ..dashboard import render_grid
-
-            frame = self.frame
-            systems = sorted(set(frame.pools["system"].names))
-            benchmarks = sorted(set(frame.pools["benchmark"].names))
-            fom_names = sorted(set(frame.pools["fom_name"].names))
-            lines = [f"# {title}", "",
-                     f"{len(frame)} records | benchmarks: "
-                     f"{', '.join(benchmarks)} | "
-                     f"systems: {', '.join(systems)}", ""]
-
-            fom_col = frame.column("fom_name")
-            ok = frame.column("value_ok")
-            values = frame.column("value")
-
-            def fom_section(fom: str) -> List[str]:
-                f = frame.pools["fom_name"].lookup(fom)
-                cells: Dict[Tuple[str, str], Any] = {}
-                units = ""
-                for b in benchmarks:
-                    for s in systems:
-                        rows = frame.partition_rows(s, b)
-                        if rows.size == 0:
-                            continue
-                        rows = rows[fom_col[rows] == f]
-                        if rows.size == 0:
-                            continue
-                        numeric = rows[ok[rows]]
-                        if numeric.size:
-                            cells[(b, s)] = float(np.mean(values[numeric]))
-                            units = frame.units[rows[0]]
-                if not cells:
-                    return []
-                rows_ = sorted({b for b, _ in cells})
-                unit_suffix = f" [{units}]" if units else ""
-                return [f"## {fom}{unit_suffix} (mean)", "",
-                        render_grid(rows_, systems, cells), ""]
-
-            if len(fom_names) > 1:
-                sections = list(self.pool.map(fom_section, fom_names))
-            else:
-                sections = [fom_section(f) for f in fom_names]
-            for section in sections:
-                lines.extend(section)
-            lines.append("## benchmark usage (records per benchmark)")
-            lines.append("")
-            for name, count in frame.benchmark_usage().items():
-                lines.append(f"- {name}: {count}")
-            return "\n".join(lines)
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a closed engine lazily
-        re-opens it if used again)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
     def __repr__(self):
-        return (f"AnalysisEngine({len(self.frame)} rows, "
+        return (f"AnalysisEngine({len(self.db)} records, "
                 f"{len(self._states)} tracked series)")

@@ -18,71 +18,18 @@ with the very same ``np.mean`` calls over identically-ordered operands as
 window position (numpy's pairwise summation cannot be updated in O(1)
 without changing the bits), which still turns the per-epoch cost from
 O(E²) into O(E).
-
-:class:`OnlineStats` is the classic Welford accumulator, used for O(1)
-running mean/variance summaries per series (dashboard stat lines) where
-bit-identity to a batch ``np.mean`` is *not* required.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..regression import RegressionEvent
 
-__all__ = ["OnlineStats", "SeriesState"]
-
-
-class OnlineStats:
-    """Welford's online mean/variance (numerically stable, mergeable)."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def variance(self, ddof: int = 0) -> float:
-        if self.count <= ddof:
-            return 0.0
-        return self._m2 / (self.count - ddof)
-
-    def std(self, ddof: int = 0) -> float:
-        return math.sqrt(self.variance(ddof))
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Chan et al. parallel combination — merging per-shard accumulators
-        equals having pushed every sample into one."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        return self
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"count": self.count, "mean": self.mean,
-                "std": self.std(), "variance": self.variance()}
-
-    def __repr__(self):
-        return (f"OnlineStats(count={self.count}, mean={self.mean:.6g}, "
-                f"std={self.std():.6g})")
+__all__ = ["SeriesState"]
 
 
 class SeriesState:
@@ -92,8 +39,7 @@ class SeriesState:
     arrive; read the current event list with :meth:`events`.  The state
     holds per-epoch sample groups (so late samples for an old epoch are
     handled: the affected suffix of window scores is re-derived), the
-    epoch-mean vector, the scored window positions, and a Welford
-    accumulator over raw samples.
+    epoch-mean vector, and the scored window positions.
     """
 
     def __init__(self, threshold: float = 0.10, window: int = 3,
@@ -111,7 +57,6 @@ class SeriesState:
         #: (position, baseline, observed, ratio, bad) — same tuple the batch
         #: detector scores, kept sorted by position
         self._scored: List[Tuple[int, float, float, float, bool]] = []
-        self.welford = OnlineStats()
         self.samples_seen = 0
 
     # -- ingestion ---------------------------------------------------------
@@ -121,7 +66,6 @@ class SeriesState:
         for epoch, value in pairs:
             epoch = float(epoch)
             value = float(value)
-            self.welford.push(value)
             self.samples_seen += 1
             idx = bisect_left(self.epochs, epoch)
             if idx < len(self.epochs) and self.epochs[idx] == epoch:

@@ -11,11 +11,22 @@ threshold in the bad direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RegressionEvent", "RegressionDetector"]
+__all__ = ["RegressionEvent", "RegressionDetector", "epoch_means"]
+
+
+def epoch_means(samples: Iterable[Tuple[float, float]]
+                ) -> List[Tuple[float, float]]:
+    """Average raw (epoch, value) samples per epoch: the (epoch, mean)
+    series, sorted by epoch, with each epoch's values averaged in sorted
+    order."""
+    by_epoch: dict = {}
+    for epoch, value in sorted(samples):
+        by_epoch.setdefault(epoch, []).append(value)
+    return [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
 
 
 @dataclass(frozen=True)
@@ -151,10 +162,6 @@ class RegressionDetector:
         regression, only of the transient fault the resilience layer
         already retried.
         """
-        raw = db.series(benchmark, system, fom_name, epoch_key,
-                        exclude_flaky=exclude_flaky)
-        by_epoch: dict = {}
-        for epoch, value in raw:
-            by_epoch.setdefault(epoch, []).append(value)
-        series = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
+        series = epoch_means(db.series(benchmark, system, fom_name, epoch_key,
+                                       exclude_flaky=exclude_flaky))
         return self.detect(series, metric=f"{benchmark}/{system}/{fom_name}")

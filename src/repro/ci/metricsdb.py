@@ -57,16 +57,12 @@ class MetricsDatabase:
         # full-scan results exactly.
         self._by_system_benchmark: Dict[Tuple[str, str], List[MetricRecord]] = {}
         self._by_system_experiment: Dict[Tuple[str, str], List[MetricRecord]] = {}
-        #: bumped once per appended record; the columnar MetricsFrame uses it
-        #: to detect (and incrementally absorb) appends without re-scanning.
-        self.generation = 0
 
     # -- ingestion -------------------------------------------------------
     def _insert(self, rec: MetricRecord) -> MetricRecord:
         self._records.append(rec)
         self._by_system_benchmark.setdefault((rec.system, rec.benchmark), []).append(rec)
         self._by_system_experiment.setdefault((rec.system, rec.experiment), []).append(rec)
-        self.generation += 1
         return rec
 
     def record(self, benchmark: str, system: str, experiment: str,
@@ -150,8 +146,25 @@ class MetricsDatabase:
             out.append(rec)
         return out
 
+    def partition(self, system: str, benchmark: str) -> List[MetricRecord]:
+        """Every record of one (system, benchmark) pair in seq order.  The
+        list only grows, so a reader that remembers how much of it it has
+        consumed can read just the new records next time."""
+        return self._by_system_benchmark.get((system, benchmark), [])
+
     def flaky_count(self) -> int:
         return sum(1 for rec in self._records if self.is_flaky(rec))
+
+    @staticmethod
+    def point(rec: MetricRecord, x_key: str) -> Optional[Tuple[float, float]]:
+        """``(manifest[x_key], value)`` as floats, or None when the key is
+        missing or either side is not numeric."""
+        if x_key not in rec.manifest:
+            return None
+        try:
+            return float(rec.manifest[x_key]), float(rec.value)
+        except (TypeError, ValueError):
+            return None
 
     def series(self, benchmark: str, system: str, fom_name: str,
                x_key: str, exclude_flaky: bool = False) -> List[tuple]:
@@ -160,14 +173,9 @@ class MetricsDatabase:
         pairs = []
         for rec in self.query(benchmark=benchmark, system=system,
                               fom_name=fom_name, exclude_flaky=exclude_flaky):
-            if x_key not in rec.manifest:
-                continue
-            try:
-                x = float(rec.manifest[x_key])
-                y = float(rec.value)
-            except (TypeError, ValueError):
-                continue
-            pairs.append((x, y))
+            point = self.point(rec, x_key)
+            if point is not None:
+                pairs.append(point)
         return sorted(pairs)
 
     def aggregate(self, fom_name: str, group_by: str = "system",

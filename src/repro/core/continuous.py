@@ -22,7 +22,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.regression import RegressionDetector, RegressionEvent
+from repro.analysis.regression import (
+    RegressionDetector,
+    RegressionEvent,
+    epoch_means,
+)
 from repro.ci import MetricsDatabase
 from repro.perf import ContentStore, Profiler, fingerprint
 from repro.resilience import (
@@ -96,12 +100,12 @@ class ContinuousBenchmarking:
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
         if resume and self.checkpoint_path.exists():
             self._load_checkpoint()
-        #: incremental analysis over the accumulated history: the columnar
-        #: frame absorbs each epoch's appends in O(new) and per-series
-        #: detector states make the post-epoch regression scan O(new)
-        #: instead of a full history rescan — with events bit-identical to
-        #: the batch path (the engine's contract).  Built after any
-        #: checkpoint load so it wraps the restored database.
+        #: incremental analysis over the accumulated history: per-series
+        #: detector states absorb only each epoch's new records, so the
+        #: post-epoch regression scan is O(new) instead of a full history
+        #: rescan — with events bit-identical to the batch path (the
+        #: engine's contract).  Built after any checkpoint load so it wraps
+        #: the restored database.
         self.analysis = AnalysisEngine(
             self.db,
             threshold=self.detector.threshold,
@@ -309,9 +313,9 @@ class ContinuousBenchmarking:
     def regressions(self) -> List[RegressionEvent]:
         """Scan the accumulated history for every tracked FOM.
 
-        Runs through the analysis engine: per-FOM series fan out over a
-        thread pool and each consumes only samples recorded since its last
-        scan, so the per-epoch cost stays O(new) as history grows.
+        Runs through the analysis engine: each per-FOM series consumes only
+        the samples recorded since its last scan, so the per-epoch cost
+        stays O(new) as history grows.
         """
         return self.analysis.scan([
             (self.benchmark_name, self.system_name, fom_name, higher_is_better)
@@ -320,15 +324,10 @@ class ContinuousBenchmarking:
         ])
 
     def history(self, fom_name: str) -> List[tuple]:
-        """(epoch, mean value) series for one FOM."""
-        import numpy as np
-
-        raw = self.db.series(self.benchmark_name, self.system_name,
-                             fom_name, "epoch")
-        by_epoch: dict = {}
-        for epoch, value in raw:
-            by_epoch.setdefault(epoch, []).append(value)
-        return [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
+        """(epoch, mean value) series for one FOM, flaky samples
+        included."""
+        return epoch_means(self.db.series(self.benchmark_name,
+                                          self.system_name, fom_name, "epoch"))
 
     def diagnose(self) -> List:
         """Name the suspected failing subsystem(s) from the cross-FOM

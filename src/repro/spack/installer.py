@@ -18,8 +18,6 @@ the paper's whole premise rests on.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from .binary_cache import BinaryCache
@@ -72,9 +70,9 @@ class BuildResult:
         self.seconds = seconds
         self.prefix = prefix
         self.phases = phases
-        #: simulated-clock interval under topological-level scheduling:
-        #: a node starts when its slowest dependency finishes, so the DAG's
-        #: makespan is the critical path, not the serial sum
+        #: simulated-clock interval: a node starts when its slowest
+        #: dependency finishes, so the DAG's makespan is the critical path,
+        #: not the serial sum
         self.sim_start: float = 0.0
         self.sim_end: float = seconds
 
@@ -108,20 +106,12 @@ class Installer:
         binary_cache: Optional[BinaryCache] = None,
         use_cache: bool = True,
         push_to_cache: bool = True,
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
     ):
         self.store = store
         self.repo = repo_path or default_repo_path()
         self.cache = binary_cache
         self.use_cache = use_cache and binary_cache is not None
         self.push_to_cache = push_to_cache and binary_cache is not None
-        #: fan independent DAG nodes out to a worker pool, level by level
-        self.parallel = parallel
-        self.max_workers = max_workers
-        #: store/cache mutations are serialized; the per-package "build"
-        #: work (recipe hooks) runs outside the lock
-        self._store_lock = threading.RLock()
         #: filled by every install(): serial-sum vs critical-path accounting
         self.last_install_stats: Dict[str, float] = {}
 
@@ -129,12 +119,11 @@ class Installer:
         """Install ``spec`` and its dependencies; returns per-node results
         in installation (topological post-) order.
 
-        Independent packages install concurrently: the DAG is scheduled in
-        topological levels through a thread pool, and the simulated clock
-        charges each node from the finish time of its slowest dependency —
-        so the DAG's simulated makespan is its *critical path*, not the
-        serial sum of build times.  Result ordering is deterministic
-        (post-order) regardless of worker completion order.
+        Nodes install one at a time, dependencies first.  The simulated
+        clock charges each node from the finish time of its slowest
+        dependency, as a level-parallel scheduler would — so the DAG's
+        simulated makespan is its *critical path*, not the serial sum of
+        build times.
         """
         if not spec.concrete:
             raise InstallError(
@@ -144,23 +133,10 @@ class Installer:
         nodes = list(spec.traverse(order="post"))
         root_hash = spec.dag_hash()
         by_name: Dict[str, BuildResult] = {}
-
-        def run_node(node: Spec) -> BuildResult:
+        for node in nodes:
             is_root = node.dag_hash() == root_hash
-            return self._install_node(node, explicit=explicit and is_root)
-
-        levels = topological_levels(spec)
-        if self.parallel and len(nodes) > 1:
-            workers = self.max_workers or min(8, max(len(lv) for lv in levels))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for level in levels:
-                    # barrier per level: deps are fully installed before any
-                    # dependent starts, exactly like Spack's DAG scheduler
-                    for node, result in zip(level, pool.map(run_node, level)):
-                        by_name[node.name] = result
-        else:
-            for node in nodes:
-                by_name[node.name] = run_node(node)
+            by_name[node.name] = self._install_node(
+                node, explicit=explicit and is_root)
 
         # Simulated clock: start = slowest direct dependency's finish.
         finish: Dict[str, float] = {}
@@ -177,7 +153,7 @@ class Installer:
         critical = max(finish.values(), default=0.0)
         self.last_install_stats = {
             "nodes": float(len(nodes)),
-            "levels": float(len(levels)),
+            "levels": float(len(topological_levels(spec))),
             "serial_seconds": serial,
             "critical_path_seconds": critical,
             "parallel_speedup": (serial / critical) if critical > 0 else 1.0,
@@ -185,41 +161,37 @@ class Installer:
         return [by_name[node.name] for node in nodes]
 
     def _install_node(self, spec: Spec, explicit: bool) -> BuildResult:
-        with self._store_lock:
-            if spec.external:
-                prefix = spec.external_path or ""
-                if not self.store.is_installed(spec) or self.store.get_record(spec) is None:
-                    self.store.add(spec, explicit=explicit, installed_from="external")
-                return BuildResult(spec, "external", 0.0, prefix, [])
-            if self.store.is_installed(spec):
-                rec = self.store.get_record(spec)
-                return BuildResult(spec, "already", 0.0, rec.prefix if rec else "", [])
+        if spec.external:
+            prefix = spec.external_path or ""
+            if not self.store.is_installed(spec) or self.store.get_record(spec) is None:
+                self.store.add(spec, explicit=explicit, installed_from="external")
+            return BuildResult(spec, "external", 0.0, prefix, [])
+        if self.store.is_installed(spec):
+            rec = self.store.get_record(spec)
+            return BuildResult(spec, "already", 0.0, rec.prefix if rec else "", [])
 
-            self._check_deps_installed(spec)
+        self._check_deps_installed(spec)
 
-            pkg_cls = self.repo.get_class(spec.name)
-            pkg = pkg_cls(spec)
-            base_cost = _BUILD_COST.get(spec.name, _DEFAULT_COST)
+        pkg_cls = self.repo.get_class(spec.name)
+        pkg = pkg_cls(spec)
+        base_cost = _BUILD_COST.get(spec.name, _DEFAULT_COST)
 
-            if self.use_cache and self.cache is not None and self.cache.has(spec):
-                artifacts = self.cache.fetch(spec) or {}
-                seconds = base_cost / _CACHE_SPEEDUP
-                rec = self.store.add(spec, explicit=explicit, installed_from="cache",
-                                     build_seconds=seconds, artifacts=artifacts)
-                return BuildResult(spec, "cache", seconds, rec.prefix, ["extract"])
-            if self.use_cache and self.cache is not None:
-                self.cache.fetch(spec)  # record the miss
+        if self.use_cache and self.cache is not None and self.cache.has(spec):
+            artifacts = self.cache.fetch(spec) or {}
+            seconds = base_cost / _CACHE_SPEEDUP
+            rec = self.store.add(spec, explicit=explicit, installed_from="cache",
+                                 build_seconds=seconds, artifacts=artifacts)
+            return BuildResult(spec, "cache", seconds, rec.prefix, ["extract"])
+        if self.use_cache and self.cache is not None:
+            self.cache.fetch(spec)  # record the miss
 
-        # The actual "build" (recipe hooks) runs outside the lock so
-        # independent packages genuinely overlap in the worker pool.
         phases = pkg.install_phases()
         artifacts = self._run_build(pkg, phases)
         seconds = base_cost * self._variant_cost_factor(spec)
-        with self._store_lock:
-            rec = self.store.add(spec, explicit=explicit, installed_from="source",
-                                 build_seconds=seconds, artifacts=artifacts)
-            if self.push_to_cache and self.cache is not None:
-                self.cache.push(spec, artifacts)
+        rec = self.store.add(spec, explicit=explicit, installed_from="source",
+                             build_seconds=seconds, artifacts=artifacts)
+        if self.push_to_cache and self.cache is not None:
+            self.cache.push(spec, artifacts)
         return BuildResult(spec, "source", seconds, rec.prefix, phases)
 
     def _check_deps_installed(self, spec: Spec) -> None:

@@ -1,16 +1,19 @@
 """Incremental regression state vs. batch recomputation — the equivalence
-is bit-identical (dataclass equality over float fields), not approximate."""
+is bit-identical (dataclass equality over float fields), not approximate.
+``RegressionDetector.detect`` / ``detect_in_db`` are the oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    OnlineStats,
+    AnalysisEngine,
     RegressionDetector,
     SeriesState,
+    fit_model,
+    model_cache,
 )
-from repro.analysis.engine import AnalysisEngine
+from repro.analysis.regression import epoch_means
 from repro.ci import MetricsDatabase
 
 
@@ -28,11 +31,7 @@ def _history(n_epochs=16, step_at=10, noise=0.03):
 def _batch(det, series, metric="m"):
     """The row-oriented reference: group raw samples per epoch exactly as
     detect_in_db does, then run the batch detector."""
-    by_epoch = {}
-    for epoch, value in sorted(series):
-        by_epoch.setdefault(epoch, []).append(value)
-    grouped = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
-    return det.detect(grouped, metric)
+    return det.detect(epoch_means(series), metric)
 
 
 class TestBitIdentity:
@@ -102,11 +101,7 @@ class TestBitIdentity:
         state = det.make_state()
         state.extend(series)
         assert state.events("m") == _batch(det, series)
-        by_epoch = {}
-        for e, v in sorted(series):
-            by_epoch.setdefault(e, []).append(v)
-        expected = [(e, float(np.mean(v))) for e, v in sorted(by_epoch.items())]
-        assert state.series() == expected
+        assert state.series() == epoch_means(series)
 
 
 class TestEngineScanParity:
@@ -155,74 +150,105 @@ class TestEngineScanParity:
         engine.scan(self.TARGETS)  # no new data: nothing re-absorbed
         assert state.samples_seen == seen
 
-    def test_series_summary_is_welford_over_raw_samples(self):
-        db = MetricsDatabase()
-        engine = AnalysisEngine(db, threshold=0.10, window=3)
-        for epoch in range(6):
-            self._record_epoch(db, epoch)
-        engine.scan(self.TARGETS)
-        summary = engine.series_summary("stream", "cts1", "triad_bw")
-        raw = [v for _, v in db.series("stream", "cts1", "triad_bw", "epoch",
-                                       exclude_flaky=True)]
-        assert summary["count"] == len(raw)
-        assert summary["mean"] == pytest.approx(np.mean(raw))
-        assert summary["std"] == pytest.approx(np.std(raw))
-
     def test_profiler_records_stage_timings(self):
         db = MetricsDatabase()
         engine = AnalysisEngine(db, threshold=0.10, window=3)
         for epoch in range(8):
             self._record_epoch(db, epoch)
         engine.scan(self.TARGETS)
-        engine.dashboard()
+        engine.model("stream", "cts1", "total_time")
         stages = set(engine.profiler.stages())
-        assert {"analysis:refresh", "analysis:detect", "analysis:scan",
-                "analysis:dashboard"} <= stages
+        assert {"analysis:detect", "analysis:scan", "analysis:model"} <= stages
+
+    def test_model_refits_only_when_its_series_grows(self):
+        db = MetricsDatabase()
+        engine = AnalysisEngine(db)
+        assert engine.model("amg2023", "cts1", "total_time") is None
+
+        def add(p, seconds, **extra):
+            db.record("amg2023", "cts1", f"p{p}", "total_time", seconds, "s",
+                      {"nprocs": str(p), **extra})
+
+        for p in (2, 4, 8, 16):
+            add(p, 1.0 + 0.05 * p)
+        first = engine.model("amg2023", "cts1", "total_time")
+        assert str(first) == str(fit_model(
+            db.series("amg2023", "cts1", "total_time", "nprocs",
+                      exclude_flaky=True)))
+        # records that leave the non-flaky series unchanged keep the model
+        # without even a fit-cache lookup
+        add(32, 99.0, flaky="true")
+        db.record("amg2023", "cts1", "p2", "fom_solve", 5.0, "", {"nprocs": "2"})
+        add(64, "n/a")
+        lookups = model_cache().stats()["lookups"]
+        assert str(engine.model("amg2023", "cts1", "total_time")) == str(first)
+        assert model_cache().stats()["lookups"] == lookups
+        add(32, 1.0 + 0.05 * 32)
+        refit = engine.model("amg2023", "cts1", "total_time")
+        assert model_cache().stats()["lookups"] > lookups
+        assert str(refit) == str(fit_model(
+            db.series("amg2023", "cts1", "total_time", "nprocs",
+                      exclude_flaky=True)))
 
 
-class TestOnlineStats:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(50.0, 4.0, size=257)
-        stats = OnlineStats()
-        for value in data:
-            stats.push(float(value))
-        assert stats.count == data.size
-        assert stats.mean == pytest.approx(np.mean(data), rel=1e-12)
-        assert stats.variance() == pytest.approx(np.var(data), rel=1e-9)
-        assert stats.variance(ddof=1) == pytest.approx(np.var(data, ddof=1),
-                                                       rel=1e-9)
-        assert stats.std() == pytest.approx(np.std(data), rel=1e-9)
+#: series the differential test scans; the last is never recorded
+SCANNED = [("stream", "cts1", "triad_bw", True),
+           ("stream", "tioga", "triad_bw", True),
+           ("saxpy", "cts1", "walltime", False),
+           ("ghost", "cts1", "triad_bw", True)]
 
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(11)
-        a, b = rng.normal(size=100), rng.normal(size=37) + 5.0
-        left, right, whole = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in a:
-            left.push(float(v))
-            whole.push(float(v))
-        for v in b:
-            right.push(float(v))
-            whole.push(float(v))
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert left.variance() == pytest.approx(whole.variance(), rel=1e-9)
+_record = st.tuples(
+    # mostly the scanned series; also a scanned partition's other FOM and
+    # an unscanned series
+    st.sampled_from([("stream", "cts1", "triad_bw")] * 3
+                    + [("stream", "tioga", "triad_bw")] * 2
+                    + [("saxpy", "cts1", "walltime")] * 2
+                    + [("stream", "cts1", "copy_bw"),
+                       ("osu", "ats2", "total_time")]),
+    # epochs behind the batch's own: late, out-of-order and repeated
+    # epochs; None drops the epoch key
+    st.sampled_from([0, 0, 0, 0, 1, 2, 5, None]),
+    # two performance levels, so windows do cross the threshold
+    st.one_of(st.floats(min_value=90.0, max_value=110.0),
+              st.floats(min_value=50.0, max_value=70.0),
+              st.sampled_from(["n/a", "", None])),
+    st.sampled_from([{}, {}, {}, {"flaky": "false", "attempts": "1"},
+                     {"flaky": "true"}, {"attempts": "2"}]),
+)
 
-    def test_merge_with_empty(self):
-        stats = OnlineStats()
-        stats.push(3.0)
-        stats.merge(OnlineStats())
-        assert (stats.count, stats.mean) == (1, 3.0)
-        empty = OnlineStats()
-        empty.merge(stats)
-        assert (empty.count, empty.mean) == (1, 3.0)
 
-    def test_degenerate(self):
-        stats = OnlineStats()
-        assert stats.variance() == 0.0
-        stats.push(2.0)
-        assert stats.variance(ddof=1) == 0.0
+def _oracle(db, window):
+    events = []
+    for benchmark, system, fom, hib in SCANNED:
+        det = RegressionDetector(threshold=0.10, window=window,
+                                 higher_is_better=hib)
+        events.extend(det.detect_in_db(db, benchmark, system, fom))
+    return sorted(events, key=lambda e: e.epoch)
+
+
+class TestEngineDifferential:
+    @given(st.lists(st.lists(_record, min_size=3, max_size=12),
+                    min_size=1, max_size=10),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=9))
+    @settings(max_examples=80, deadline=None)
+    def test_scans_equal_detect_in_db(self, batches, window, rebuild_at):
+        db = MetricsDatabase()
+        engine = AnalysisEngine(db, threshold=0.10, window=window)
+        for i, batch in enumerate(batches):
+            if i == rebuild_at:
+                # a database restored from its records, under a fresh
+                # engine, reaches the events the live engine reached
+                before = engine.scan(SCANNED)
+                db = MetricsDatabase.from_records(db.to_records())
+                engine = AnalysisEngine(db, threshold=0.10, window=window)
+                assert engine.scan(SCANNED) == before
+            for (benchmark, system, fom), lag, value, tags in batch:
+                manifest = dict(tags)
+                if lag is not None:
+                    manifest["epoch"] = str(i - lag)
+                db.record(benchmark, system, "e", fom, value, "u", manifest)
+            assert engine.scan(SCANNED) == _oracle(db, window)
 
 
 class TestStateValidation:

@@ -111,3 +111,15 @@ class TestDashboardReport:
 
         report = render_report(MetricsDatabase())
         assert "0 records" in report
+
+    def test_report_tracks_appends(self):
+        from repro.analysis import render_report
+
+        db = self._db()
+        render_report(db)
+        db.record("quicksilver", "sierra", "q0", "fom_segments", 7.5, "seg/s",
+                  {"epoch": "0"})
+        report = render_report(db)
+        assert "## fom_segments [seg/s] (mean)" in report
+        assert report == render_report(
+            MetricsDatabase.from_records(db.to_records()))
