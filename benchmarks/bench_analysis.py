@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import RegressionDetector, clear_model_cache, fit_model, render_report
+from repro.analysis import (CaliperSession, RegressionDetector, clear_model_cache,
+                            fit_model, render_report)
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
-from repro.perf import Profiler
 
 SYSTEMS = ("cts1", "tioga", "sierra")
 BENCHMARKS = ("stream", "amg2023", "quicksilver")
@@ -86,7 +86,7 @@ def _ingest(db: MetricsDatabase, records) -> None:
         db.record(benchmark, system, exp, fom, value, units, dict(manifest))
 
 
-def run_cold(epoch_records, targets, profiler: Profiler):
+def run_cold(epoch_records, targets, session: CaliperSession):
     """Row-oriented per-epoch analysis: full rescans, fresh fits."""
     db = MetricsDatabase()
     detectors = {hib: RegressionDetector(THRESHOLD, WINDOW, hib)
@@ -94,13 +94,13 @@ def run_cold(epoch_records, targets, profiler: Profiler):
     events = models = report = None
     for records in epoch_records:
         _ingest(db, records)
-        with profiler.timer("cold:detect"):
+        with session.region("cold:detect"):
             found = []
             for benchmark, system, fom, hib in targets:
                 found.extend(detectors[hib].detect_in_db(
                     db, benchmark, system, fom))
             events = sorted(found, key=lambda e: e.epoch)
-        with profiler.timer("cold:model"):
+        with session.region("cold:model"):
             clear_model_cache()  # the non-incremental world refits
             models = {}
             for benchmark, system, _, _ in targets[::2]:
@@ -108,7 +108,7 @@ def run_cold(epoch_records, targets, profiler: Profiler):
                                   exclude_flaky=True)
                 if pairs:
                     models[(benchmark, system)] = str(fit_model(pairs))
-        with profiler.timer("cold:dashboard"):
+        with session.region("cold:dashboard"):
             report = render_report(db)
     return db, events, models, report
 
@@ -126,7 +126,7 @@ def run_warm(epoch_records, targets):
             model = engine.model(benchmark, system, "total_time")
             if model is not None:
                 models[(benchmark, system)] = str(model)
-        with engine.profiler.timer("analysis:dashboard"):
+        with engine.session.region("analysis:dashboard"):
             report = render_report(db)
     return db, engine, events, models, report
 
@@ -136,11 +136,11 @@ def bench(epochs: int, systems, benchmarks) -> dict:
     epoch_records = [synthesize_epoch(e, systems, benchmarks)
                      for e in range(epochs)]
 
-    cold_profiler = Profiler()
+    cold_session = CaliperSession()
     clear_model_cache()
     t0 = time.perf_counter()
     cold_db, cold_events, cold_models, cold_report = run_cold(
-        epoch_records, targets, cold_profiler)
+        epoch_records, targets, cold_session)
     cold_s = time.perf_counter() - t0
 
     clear_model_cache()
@@ -159,6 +159,7 @@ def bench(epochs: int, systems, benchmarks) -> dict:
     assert cold_db.to_records() == warm_db.to_records()
 
     from repro.analysis.extrap import model_cache
+    cold_profile, warm_profile = cold_session.flush(), engine.session.flush()
     return {
         "epochs": epochs,
         "series_tracked": len(targets),
@@ -172,9 +173,9 @@ def bench(epochs: int, systems, benchmarks) -> dict:
         "dashboard_identical": True,
         "model_cache": {k: v for k, v in model_cache().stats().items()
                         if k in ("hits", "misses", "hit_rate")},
-        "profiler_cold": cold_profiler.to_dict(),
-        "profiler_warm": engine.profiler.to_dict(),
-        "_profilers": (cold_profiler, engine.profiler),
+        "caliper_cold": cold_profile.root.to_dict(),
+        "caliper_warm": warm_profile.root.to_dict(),
+        "_profiles": (cold_profile, warm_profile),
     }
 
 
@@ -197,15 +198,15 @@ def main(argv=None) -> int:
     benchmarks = BENCHMARKS[:2] if args.quick else BENCHMARKS
 
     results = bench(epochs, systems, benchmarks)
-    cold_profiler, warm_profiler = results.pop("_profilers")
+    cold_profile, warm_profile = results.pop("_profiles")
     results["mode"] = "quick" if args.quick else "full"
     print(json.dumps(results, indent=2))
 
     # Per-stage breakdown to the job log: where the speedup comes from.
     print("\n# cold (row-oriented) stage breakdown", file=sys.stderr)
-    print(cold_profiler.report(), file=sys.stderr)
+    print(cold_profile.runtime_report(), file=sys.stderr)
     print("\n# warm (analysis engine) stage breakdown", file=sys.stderr)
-    print(warm_profiler.report(), file=sys.stderr)
+    print(warm_profile.runtime_report(), file=sys.stderr)
 
     out = args.out
     if out is None and not args.quick:

@@ -9,9 +9,9 @@ numbers to ``BENCH_incremental.json``:
    and, in full mode, finish >= --min-speedup faster than the
    non-incremental baseline — while producing *identical* FOM series and
    regression events (correctness is asserted, not assumed).
-2. **Parallel DAG install** — the amg2023+caliper DAG installed through
-   the level-scheduled worker pool; the simulated makespan must be the
-   DAG's critical path, strictly below the serial sum of build times.
+2. **Parallel DAG install** — the amg2023+caliper DAG installed in
+   post-order; the simulated makespan must be the DAG's critical path,
+   strictly below the serial sum of build times.
 3. **Memoized concretization** — the same environment solved cold and
    warm; the warm solve is a cache lookup.
 
@@ -88,6 +88,7 @@ def bench_warm_campaign(epochs: int) -> dict:
             == [str(e) for e in warm.regressions()]), \
         "warm campaign regression events diverged from cold campaign"
 
+    cold_profile, warm_profile = cold.session.flush(), warm.session.flush()
     return {
         "epochs": epochs,
         "cold_seconds": cold_s,
@@ -100,9 +101,9 @@ def bench_warm_campaign(epochs: int) -> dict:
         "speedup_vs_baseline": baseline_s / warm_s if warm_s else float("inf"),
         "foms_identical": True,
         "regressions_identical": True,
-        "profiler_warm": warm.profiler.to_dict(),
+        "caliper_warm": warm_profile.root.to_dict(),
         "_baseline_obj_records": len(baseline.db),
-        "_profilers": (cold.profiler, warm.profiler),
+        "_profiles": (cold_profile, warm_profile),
     }
 
 
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
 
     campaign = bench_warm_campaign(epochs)
     campaign.pop("_baseline_obj_records", None)
-    cold_profiler, warm_profiler = campaign.pop("_profilers")
+    cold_profile, warm_profile = campaign.pop("_profiles")
     install = bench_parallel_install()
     memo = bench_concretize_memo()
 
@@ -174,9 +175,9 @@ def main(argv=None) -> int:
 
     # Per-stage breakdown to the job log: where the warm epochs save time.
     print("\n# cold campaign stage breakdown", file=sys.stderr)
-    print(cold_profiler.report(), file=sys.stderr)
+    print(cold_profile.runtime_report(), file=sys.stderr)
     print("\n# warm campaign stage breakdown", file=sys.stderr)
-    print(warm_profiler.report(), file=sys.stderr)
+    print(warm_profile.runtime_report(), file=sys.stderr)
 
     out = args.out
     if out is None and not args.quick:

@@ -169,6 +169,10 @@ class CaliperSession:
 
         return wrap
 
+    def regions(self) -> Dict[str, RegionNode]:
+        """Live path → node view of the current (unflushed) tree."""
+        return Profile(self._root).regions()
+
     # -- flush / always-on ---------------------------------------------------
     def flush(self, metadata: Optional[Dict[str, Any]] = None) -> Profile:
         """Finish the current tree into a Profile and reset (always-on mode

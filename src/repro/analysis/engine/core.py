@@ -16,16 +16,17 @@ partition's records it has already consumed:
 
 Both apply the filters of :meth:`RegressionDetector.detect_in_db` and
 :meth:`MetricsDatabase.series`, so results equal the batch path exactly.
-Every stage records wall time into a shared
-:class:`~repro.perf.profiler.Profiler` under ``analysis:*`` stage names.
+Every stage is a Caliper region (``analysis:*``) on one
+:class:`~repro.analysis.caliper.CaliperSession`, shared with the campaign
+that owns the engine, so a scan's detects nest as
+``analysis:scan/analysis:detect``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf import Profiler
-
+from ..caliper import CaliperSession
 from ..extrap import _copy_single, fit_model
 from ..regression import RegressionEvent
 from .incremental import SeriesState
@@ -43,11 +44,11 @@ class AnalysisEngine:
     """Incremental analysis over a metrics database."""
 
     def __init__(self, db, threshold: float = 0.10, window: int = 3,
-                 profiler: Optional[Profiler] = None):
+                 session: Optional[CaliperSession] = None):
         self.db = db
         self.threshold = threshold
         self.window = window
-        self.profiler = profiler or Profiler()
+        self.session = session or CaliperSession()
         self._states: Dict[Target, SeriesState] = {}
         #: Target -> partition records already consumed
         self._consumed: Dict[Target, int] = {}
@@ -85,7 +86,7 @@ class AnalysisEngine:
         samples recorded since this target was last examined."""
         target: Target = (benchmark, system, fom_name, bool(higher_is_better))
         state = self._state(target)
-        with self.profiler.timer("analysis:detect"):
+        with self.session.region("analysis:detect"):
             self._consumed[target], points = self._new_points(
                 benchmark, system, fom_name, EPOCH_KEY,
                 self._consumed.get(target, 0))
@@ -95,7 +96,7 @@ class AnalysisEngine:
     def scan(self, targets: Sequence[Target]) -> List[RegressionEvent]:
         """Detect over many series; events come back sorted by epoch
         (stable in target order, matching the batch loop)."""
-        with self.profiler.timer("analysis:scan"):
+        with self.session.region("analysis:scan"):
             events = [e for t in targets for e in self.detect(*t)]
         return sorted(events, key=lambda e: e.epoch)
 
@@ -109,7 +110,7 @@ class AnalysisEngine:
 
         Returns ``None`` when the series has no measurements yet."""
         key = (benchmark, system, fom_name, x_key)
-        with self.profiler.timer("analysis:model"):
+        with self.session.region("analysis:model"):
             entry = self._model_memo.get(key)
             size, points = self._new_points(benchmark, system, fom_name, x_key,
                                             entry[0] if entry else 0)

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.analysis.caliper import CaliperSession
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.regression import (
     RegressionDetector,
@@ -28,7 +29,7 @@ from repro.analysis.regression import (
     epoch_means,
 )
 from repro.ci import MetricsDatabase
-from repro.perf import ContentStore, Profiler, fingerprint
+from repro.perf import ContentStore, fingerprint
 from repro.resilience import (
     CircuitBreakerRegistry,
     FaultTolerantExecutor,
@@ -95,7 +96,9 @@ class ContinuousBenchmarking:
             result_cache if result_cache is not None
             else ContentStore("epoch-results")
         )
-        self.profiler = Profiler()
+        #: the campaign's one timing channel: ``epoch:*`` regions here,
+        #: ``analysis:*`` regions in the engine
+        self.session = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
         if resume and self.checkpoint_path.exists():
@@ -110,7 +113,7 @@ class ContinuousBenchmarking:
             self.db,
             threshold=self.detector.threshold,
             window=self.detector.window,
-            profiler=self.profiler,
+            session=self.session,
         )
 
     @property
@@ -142,14 +145,20 @@ class ContinuousBenchmarking:
         tmp.write_text(json.dumps(payload, indent=2))
         tmp.replace(self.checkpoint_path)
 
+    def _corrupt(self, error: Exception) -> ValueError:
+        return ValueError(
+            f"checkpoint {self.checkpoint_path} is corrupt ({error}); "
+            f"delete it (or pass resume=False) to restart the campaign"
+        )
+
     def _load_checkpoint(self) -> None:
         try:
             payload = json.loads(self.checkpoint_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ValueError(
-                f"checkpoint {self.checkpoint_path} is corrupt ({e}); "
-                f"delete it (or pass resume=False) to restart the campaign"
-            ) from e
+            if not isinstance(payload, dict):
+                raise TypeError(f"a JSON {type(payload).__name__}, "
+                                f"not an object")
+        except (json.JSONDecodeError, TypeError) as e:
+            raise self._corrupt(e) from e
         if payload.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint {self.checkpoint_path} has version "
@@ -162,9 +171,15 @@ class ContinuousBenchmarking:
                 f"{payload.get('experiment')} on {payload.get('system')}, "
                 f"not {self.experiment} on {self.system_name}"
             )
-        self.epochs_run = int(payload["epochs_run"])
-        self.attempt_history = dict(payload.get("attempt_history", {}))
-        self.db = MetricsDatabase.from_records(payload["records"])
+        try:
+            epochs_run = int(payload["epochs_run"])
+            attempt_history = dict(payload.get("attempt_history", {}))
+            db = MetricsDatabase.from_records(payload["records"])
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise self._corrupt(e) from e
+        self.epochs_run = epochs_run
+        self.attempt_history = attempt_history
+        self.db = db
         snap = payload.get("result_cache")
         if snap:
             # restore() folds the checkpointed hit/miss counters into the
@@ -215,7 +230,7 @@ class ContinuousBenchmarking:
         """Serve one epoch from the result cache: identical inputs already
         produced these results, so ingest them directly — tagged with
         provenance — instead of re-running setup/run/analyze."""
-        with self.profiler.timer("epoch:replay"):
+        with self.session.region("epoch:replay"):
             results = copy.deepcopy(entry["results"])
             for exp in results["experiments"]:
                 variables = exp.setdefault("variables", {})
@@ -248,16 +263,16 @@ class ContinuousBenchmarking:
         entry = self.result_cache.get(key) if key is not None else None
         if entry is not None:
             return self._replay_epoch(epoch, key, entry)
-        with self.profiler.timer("epoch:setup"):
-            session = benchpark_setup(
+        with self.session.region("epoch:setup"):
+            benchpark = benchpark_setup(
                 self.experiment, self.system_name,
                 self.workdir / f"epoch-{epoch}",
             )
-            session.setup()
-        with self.profiler.timer("epoch:run"):
-            outcomes = session.run(executor=self._executor(system, epoch))
-        with self.profiler.timer("epoch:analyze"):
-            results = session.analyze()
+            benchpark.setup()
+        with self.session.region("epoch:run"):
+            outcomes = benchpark.run(executor=self._executor(system, epoch))
+        with self.session.region("epoch:analyze"):
+            results = benchpark.analyze()
         # Pristine copy for the cache *before* epoch tagging mutates the
         # payload — a later replay re-tags for its own epoch.
         pristine = copy.deepcopy(results)

@@ -1,26 +1,24 @@
 """repro.perf — the incremental, content-addressed pipeline substrate.
 
-Three primitives shared by every layer of the reproduction:
+Two primitives shared by every layer of the reproduction:
 
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
-* :class:`ContentStore` — a thread-safe content-addressed cache with
-  hit/miss statistics and checkpointable snapshots;
-* :class:`Profiler` — per-stage wall-time accounting.
+* :class:`ContentStore` — a content-addressed cache with hit/miss
+  statistics and checkpointable snapshots.
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
-parallel DAG installs (:mod:`repro.spack.installer`), cached CI jobs
-(:mod:`repro.ci.pipeline`), and epoch-level result reuse
-(:mod:`repro.core.continuous`).
+critical-path-charged DAG installs (:mod:`repro.spack.installer`), cached
+CI jobs (:mod:`repro.ci.pipeline`), and epoch-level result reuse
+(:mod:`repro.core.continuous`).  Stage timings are Caliper regions
+(:mod:`repro.analysis.caliper`).
 """
 
 from .content_store import ContentStore
 from .fingerprint import canonicalize, fingerprint, fingerprint_file, package_signature
-from .profiler import Profiler
 
 __all__ = [
     "ContentStore",
-    "Profiler",
     "canonicalize",
     "fingerprint",
     "fingerprint_file",

@@ -14,7 +14,6 @@ queueing effects are first-class results.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List
 
 from .descriptor import SystemDescriptor
@@ -34,30 +33,28 @@ class BatchExecutor:
     result), ``execute`` queues and returns a pending marker; ``drain``
     must be called afterwards to materialize logs — or use
     :meth:`run_workspace`, which does both.
+
+    ``drain`` executes the jobs one after another in submission order: the
+    kernels are real and timed, and
+    :class:`~repro.systems.executor.SystemExecutor` rescales their measured
+    wall time, so running them side by side could change the results.
     """
 
     def __init__(self, system: SystemDescriptor, policy: str = "backfill",
                  epoch: int = 0, injector=None,
                  retry_policy=None, breakers=None,
-                 runner_tag: str = "batch", max_workers: int = 4):
+                 runner_tag: str = "batch"):
         self.system = system
         self.scheduler = BatchScheduler(system, policy=policy)
         self.inner = SystemExecutor(system, epoch=epoch)
-        #: a fault-tolerant inner executor carries shared mutable state
-        #: (injector RNG, circuit breakers) whose behaviour depends on call
-        #: order — those campaigns stay serial to keep runs reproducible
-        self._resilient = (
-            injector is not None or retry_policy is not None
-            or breakers is not None
-        )
-        if self._resilient:
+        if (injector is not None or retry_policy is not None
+                or breakers is not None):
             from repro.resilience import FaultTolerantExecutor
 
             self.inner = FaultTolerantExecutor(
                 self.inner, injector=injector, policy=retry_policy,
                 breakers=breakers, runner_tag=runner_tag,
             )
-        self.max_workers = max(int(max_workers), 1)
         self._queued: List[tuple] = []
 
     # -- duration estimation ------------------------------------------------
@@ -101,21 +98,7 @@ class BatchExecutor:
         if not self._queued:
             return []
         self.scheduler.run_until_complete()
-        # Independent experiments execute concurrently — a pure
-        # SystemExecutor derives each outcome from (experiment, epoch)
-        # alone, so fan-out cannot change any result, only the wall clock.
-        # Scheduler bookkeeping and log writes below stay serial, in
-        # submission order, so outcome ordering is deterministic either way.
-        if not self._resilient and len(self._queued) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_workers, len(self._queued))
-            ) as pool:
-                results = list(
-                    pool.map(self.inner.execute,
-                             [e for e, _ in self._queued])
-                )
-        else:
-            results = [self.inner.execute(e) for e, _ in self._queued]
+        results = [self.inner.execute(e) for e, _ in self._queued]
         outcomes = []
         for (experiment, job), result in zip(self._queued, results):
             # Transient faults (a fault-tolerant inner executor reports

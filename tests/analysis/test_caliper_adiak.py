@@ -51,6 +51,18 @@ class TestCaliper:
         profile = s.flush()
         assert profile.regions()["loop"].visits == 3
 
+    def test_live_regions_before_flush(self):
+        s = CaliperSession(clock=FakeClock())
+        assert s.regions() == {}
+        with s.region("outer"):
+            with s.region("inner"):
+                pass
+            # an open region is already visible, with its visit counted
+            assert s.regions()["outer"].visits == 1
+        assert sorted(s.regions()) == ["outer", "outer/inner"]
+        s.flush()
+        assert s.regions() == {}
+
     def test_mismatched_end_raises(self):
         s = CaliperSession()
         s.begin("a")

@@ -157,8 +157,13 @@ class TestEngineScanParity:
             self._record_epoch(db, epoch)
         engine.scan(self.TARGETS)
         engine.model("stream", "cts1", "total_time")
-        stages = set(engine.profiler.stages())
-        assert {"analysis:detect", "analysis:scan", "analysis:model"} <= stages
+        regions = engine.session.regions()
+        assert regions["analysis:scan"].visits == 1
+        # one detect per target, nested under the scan that ran it
+        assert regions["analysis:scan/analysis:detect"].visits == len(
+            self.TARGETS)
+        assert "analysis:detect" not in regions
+        assert regions["analysis:model"].visits == 1
 
     def test_model_refits_only_when_its_series_grows(self):
         db = MetricsDatabase()
@@ -249,6 +254,63 @@ class TestEngineDifferential:
                     manifest["epoch"] = str(i - lag)
                 db.record(benchmark, system, "e", fom, value, "u", manifest)
             assert engine.scan(SCANNED) == _oracle(db, window)
+
+
+#: series the model-memo test fits; the last is never recorded
+MODELED = [("amg2023", "cts1", "total_time"),
+           ("amg2023", "ats2", "total_time"),
+           ("saxpy", "cts1", "walltime"),
+           ("ghost", "cts1", "total_time")]
+
+_scaling_record = st.tuples(
+    # the recorded modeled series, a modeled partition's other FOM, and an
+    # unmodeled series
+    st.sampled_from(MODELED[:3] * 2 + [("amg2023", "cts1", "fom_solve"),
+                                       ("osu", "ats4", "total_time")]),
+    # few distinct x values, so they repeat; None drops the key
+    st.sampled_from(["2", "4", "8", "16", "4.0", "many", None]),
+    st.one_of(st.floats(min_value=0.5, max_value=50.0),
+              st.sampled_from(["n/a", "", None])),
+    st.sampled_from([{}, {}, {}, {"flaky": "false", "attempts": "1"},
+                     {"flaky": "true"}, {"attempts": "2"}]),
+)
+
+_model_op = st.one_of(
+    st.lists(_scaling_record, min_size=1, max_size=8),
+    # (series, mutate the returned model)
+    st.tuples(st.sampled_from(MODELED), st.booleans()),
+)
+
+
+class TestModelMemoDifferential:
+    @given(st.lists(_model_op, min_size=1, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_models_equal_fresh_fits(self, ops):
+        db = MetricsDatabase()
+        engine = AnalysisEngine(db)
+        for op in ops:
+            if isinstance(op, list):
+                for (benchmark, system, fom), nprocs, value, tags in op:
+                    manifest = dict(tags)
+                    if nprocs is not None:
+                        manifest["nprocs"] = nprocs
+                    db.record(benchmark, system, "e", fom, value, "s",
+                              manifest)
+                continue
+            (benchmark, system, fom), mutate = op
+            got = engine.model(benchmark, system, fom)
+            pairs = db.series(benchmark, system, fom, "nprocs",
+                              exclude_flaky=True)
+            if not pairs:
+                assert got is None
+                continue
+            expected = fit_model(pairs)
+            assert str(got) == str(expected)
+            assert got.measurements == expected.measurements
+            if mutate:
+                # a caller scribbling on its model must not reach the memo
+                got.c0 += 1e6
+                got.measurements.clear()
 
 
 class TestStateValidation:

@@ -1,11 +1,8 @@
-"""Tests for the content-addressing primitives: fingerprint, ContentStore,
-Profiler."""
-
-import pytest
+"""Tests for the content-addressing primitives: fingerprint and
+ContentStore."""
 
 from repro.perf import (
     ContentStore,
-    Profiler,
     canonicalize,
     fingerprint,
     fingerprint_file,
@@ -109,12 +106,6 @@ class TestContentStore:
         second.get("k")
         assert second.stats()["hits"] == 2  # cumulative across lives
 
-    def test_disk_persistence(self, tmp_path):
-        path = tmp_path / "cache.json"
-        ContentStore("t", path=path).put("k", [1, 2])
-        reopened = ContentStore("t", path=path)
-        assert reopened.peek("k") == [1, 2]
-
     def test_snapshot_roundtrips_through_json(self):
         import json
 
@@ -122,33 +113,3 @@ class TestContentStore:
         store.put("k", {"nested": [1, "two"]})
         snap = json.loads(json.dumps(store.snapshot()))
         assert ContentStore("t2").restore(snap).peek("k") == {"nested": [1, "two"]}
-
-
-class TestProfiler:
-    def test_record_and_query(self):
-        prof = Profiler()
-        prof.record("solve", 0.5)
-        prof.record("solve", 1.5)
-        assert prof.stages() == ["solve"]
-        assert prof.total("solve") == pytest.approx(2.0)
-        assert prof.count("solve") == 2
-        d = prof.to_dict()["solve"]
-        assert d["mean_s"] == pytest.approx(1.0)
-        assert d["max_s"] == pytest.approx(1.5)
-
-    def test_timer_context(self):
-        prof = Profiler()
-        with prof.timer("stage"):
-            pass
-        assert prof.count("stage") == 1
-        assert prof.total("stage") >= 0.0
-
-    def test_merge_and_report(self):
-        a, b = Profiler(), Profiler()
-        a.record("x", 1.0)
-        b.record("x", 2.0)
-        b.record("y", 3.0)
-        a.merge(b)
-        assert a.count("x") == 2 and a.count("y") == 1
-        assert "x" in a.report() and "y" in a.report()
-        assert Profiler().report() == "profiler: no samples"

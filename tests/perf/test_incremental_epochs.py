@@ -40,8 +40,9 @@ class TestWarmCampaign:
         ).run(4)
         after = shared.stats()
         assert after["hits"] - before["hits"] == 4  # 100% warm hit rate
-        assert warm.profiler.count("epoch:replay") == 4
-        assert warm.profiler.count("epoch:run") == 0
+        regions = warm.session.regions()
+        assert regions["epoch:replay"].visits == 4
+        assert "epoch:run" not in regions
 
         # correctness: caching is invisible in the data
         assert _series(cold) == _series(warm)
@@ -186,4 +187,4 @@ class TestCheckpointCumulativeStats:
         resumed.run_until(5)
         stats = resumed.result_cache.stats()
         assert stats["hits"] == 5  # 2 before the kill + 3 after
-        assert resumed.profiler.count("epoch:replay") == 3
+        assert resumed.session.regions()["epoch:replay"].visits == 3

@@ -457,6 +457,17 @@ class TestFaultTolerantCampaign:
         with pytest.raises(ValueError, match="checkpoint"):
             ContinuousBenchmarking("saxpy/openmp", "cts1", tmp_path)
 
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"version": 1, "experiment": "stream/openmp", "system": "cts1"},
+        {"version": 1, "experiment": "stream/openmp", "system": "cts1",
+         "epochs_run": "x", "records": []},
+    ], ids=["not-an-object", "no-epochs-run", "epochs-run-not-int"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, payload):
+        (tmp_path / "campaign_checkpoint.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"corrupt.*resume=False"):
+            self._loop(tmp_path)
+
     def test_resume_false_ignores_checkpoint(self, tmp_path):
         self._loop(tmp_path).run_until(2)
         fresh = self._loop(tmp_path, resume=False)
