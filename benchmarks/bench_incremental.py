@@ -8,7 +8,10 @@ numbers to ``BENCH_incremental.json``:
    pass must replay every epoch from cache (hit rate >= --min-hit-rate)
    and, in full mode, finish >= --min-speedup faster than the
    non-incremental baseline — while producing *identical* FOM series and
-   regression events (correctness is asserted, not assumed).
+   regression events (correctness is asserted, not assumed).  Each
+   campaign's journal must grow by a flat number of bytes per epoch: after
+   the first epoch's append, the last epoch may append at most
+   ``FLATNESS_MAX`` times what the second did.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
    post-order; the simulated makespan must be the DAG's critical path,
    strictly below the serial sum of build times.
@@ -20,14 +23,15 @@ Run directly (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_incremental.py [--quick]
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
-gate (timings on loaded CI runners are noisy); the hit-rate gate always
-applies.
+gate (timings on loaded CI runners are noisy); the hit-rate and flatness
+gates always apply.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -40,6 +44,8 @@ from repro.spack.concretizer import clear_concretization_memo
 
 EXPERIMENT = "stream/openmp"
 SYSTEM = "cts1"
+#: the last epoch's journal append over the second epoch's, at most
+FLATNESS_MAX = 1.1
 
 
 def _fom_series(campaign: ContinuousBenchmarking):
@@ -55,6 +61,19 @@ def _fom_series(campaign: ContinuousBenchmarking):
     return out
 
 
+def _run(campaign: ContinuousBenchmarking, epochs: int) -> list:
+    """Run ``epochs`` epochs; return the bytes each epoch after the first
+    wrote to the campaign's journal: all of it past the prefix kept from
+    the epoch before, so a rewrite counts in full and an append by size."""
+    written, before = [], b""
+    for _ in range(epochs):
+        campaign.run_epoch()
+        after = campaign.checkpoint_path.read_bytes()
+        written.append(len(after) - len(os.path.commonprefix([before, after])))
+        before = after
+    return written[1:]
+
+
 def bench_warm_campaign(epochs: int) -> dict:
     shared = ContentStore("epoch-results")
     base = Path(tempfile.mkdtemp(prefix="bench-incremental-"))
@@ -62,14 +81,16 @@ def bench_warm_campaign(epochs: int) -> dict:
     t0 = time.perf_counter()
     cold = ContinuousBenchmarking(
         EXPERIMENT, SYSTEM, base / "cold", result_cache=shared,
-    ).run(epochs)
+    )
+    cold_bytes = _run(cold, epochs)
     cold_s = time.perf_counter() - t0
 
     before = shared.stats()
     t0 = time.perf_counter()
     warm = ContinuousBenchmarking(
         EXPERIMENT, SYSTEM, base / "warm", result_cache=shared,
-    ).run(epochs)
+    )
+    warm_bytes = _run(warm, epochs)
     warm_s = time.perf_counter() - t0
     after = shared.stats()
     warm_hits = after["hits"] - before["hits"]
@@ -101,6 +122,7 @@ def bench_warm_campaign(epochs: int) -> dict:
         "speedup_vs_baseline": baseline_s / warm_s if warm_s else float("inf"),
         "foms_identical": True,
         "regressions_identical": True,
+        "journal_bytes_per_epoch": {"cold": cold_bytes, "warm": warm_bytes},
         "caliper_warm": warm_profile.root.to_dict(),
         "_baseline_obj_records": len(baseline.db),
         "_profiles": (cold_profile, warm_profile),
@@ -193,6 +215,12 @@ def main(argv=None) -> int:
             f"warm hit rate {campaign['warm_hit_rate']:.0%} < "
             f"{args.min_hit_rate:.0%}"
         )
+    for name, appended in campaign["journal_bytes_per_epoch"].items():
+        if appended and appended[-1] > FLATNESS_MAX * appended[0]:
+            failures.append(
+                f"{name} journal: last epoch wrote {appended[-1]} B > "
+                f"{FLATNESS_MAX} x the second epoch's {appended[0]} B"
+            )
     if not args.quick and campaign["speedup_vs_baseline"] < args.min_speedup:
         failures.append(
             f"warm speedup {campaign['speedup_vs_baseline']:.1f}x < "

@@ -184,6 +184,10 @@ class CaliperSession:
 
         merged = dict(collected())
         merged.update(metadata or {})
+        # the unnamed root spans its top-level regions, so its exclusive
+        # time is zero rather than minus their total
+        self._root.inclusive = sum(
+            c.inclusive for c in self._root.children.values())
         profile = Profile(self._root, merged)
         self._profiles.append(profile)
         self._root = RegionNode("")

@@ -11,7 +11,7 @@ threshold in the bad direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -128,28 +128,6 @@ class RegressionDetector:
                 flush_run()
         flush_run()
         return events
-
-    # -- incremental consumption ----------------------------------------
-    def make_state(self, higher_is_better: Optional[bool] = None):
-        """A :class:`~repro.analysis.engine.SeriesState` preconfigured with
-        this detector's parameters — feed it raw (epoch, value) samples as
-        they arrive and read events in O(new) per epoch, bit-identical to
-        a batch :meth:`detect` over the same history."""
-        from .engine.incremental import SeriesState
-
-        return SeriesState(
-            threshold=self.threshold,
-            window=self.window,
-            higher_is_better=(self.higher_is_better if higher_is_better is None
-                              else higher_is_better),
-        )
-
-    def detect_incremental(self, state, new_samples, metric: str = "metric"
-                           ) -> List[RegressionEvent]:
-        """Absorb ``new_samples`` ((epoch, value) pairs) into ``state`` and
-        return the current event list for the whole series seen so far."""
-        state.extend(new_samples)
-        return state.events(metric=metric)
 
     def detect_in_db(self, db, benchmark: str, system: str, fom_name: str,
                      epoch_key: str = "epoch",

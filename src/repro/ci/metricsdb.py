@@ -11,9 +11,7 @@ consume.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -214,15 +212,15 @@ class MetricsDatabase:
 
     # -- persistence -----------------------------------------------------------
     def to_records(self) -> List[Dict[str, Any]]:
-        """JSON-serializable record list (checkpoint embedding)."""
+        """JSON-serializable record list."""
         return [r.to_dict() for r in self._records]
 
     @classmethod
     def from_records(cls, records: List[Dict[str, Any]]) -> "MetricsDatabase":
         """Rebuild a database from :meth:`to_records` output.
 
-        Original sequence numbers are preserved (a dump/load round trip is
-        the identity, not a re-numbering) and both secondary indexes are
+        Original sequence numbers are preserved (a round trip is the
+        identity, not a re-numbering) and both secondary indexes are
         rebuilt so indexed queries on the loaded database match a full scan.
         """
         db = cls()
@@ -242,13 +240,6 @@ class MetricsDatabase:
             ))
         db._seq = itertools.count(max_seq + 1)
         return db
-
-    def dump(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_records(), indent=2))
-
-    @classmethod
-    def load(cls, path: Path | str) -> "MetricsDatabase":
-        return cls.from_records(json.loads(Path(path).read_text()))
 
     def __len__(self):
         return len(self._records)

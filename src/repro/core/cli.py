@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("workdir")
 
     p_report = sub.add_parser(
-        "report", help="render the dashboard from a dumped metrics DB")
-    p_report.add_argument("db_json", help="file written by MetricsDatabase.dump()")
+        "report", help="render the dashboard of a continuous-benchmarking campaign")
+    p_report.add_argument("workdir", help="campaign workdir holding its journal")
 
     p_archive = sub.add_parser(
         "archive", help="bundle a workspace into a shareable manifest+results file")
@@ -154,14 +154,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "report":
         from repro.analysis import render_report
-        from repro.ci import MetricsDatabase
+        from .continuous import ContinuousBenchmarking
 
         try:
-            db = MetricsDatabase.load(args.db_json)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"error: cannot load {args.db_json}: {e}", file=sys.stderr)
+            campaign = ContinuousBenchmarking.open(args.workdir)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            print(f"error: cannot load {args.workdir}: {e}", file=sys.stderr)
             return 2
-        print(render_report(db))
+        print(render_report(campaign.db))
         return 0
 
     if args.command == "suite":

@@ -16,7 +16,6 @@ shows the loop localizing it in time.
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -43,8 +42,10 @@ from .driver import benchpark_setup
 
 __all__ = ["ContinuousBenchmarking"]
 
-#: checkpoint schema version, bumped on incompatible layout changes
-CHECKPOINT_VERSION = 1
+#: journal schema version, bumped on incompatible layout changes
+JOURNAL_VERSION = 2
+#: the campaign journal's file name inside the workdir
+JOURNAL = "campaign.jsonl"
 
 #: FOMs worth tracking per benchmark, with their direction.
 TRACKED_FOMS: Dict[str, List[tuple]] = {
@@ -89,8 +90,10 @@ class ContinuousBenchmarking:
         #: content-addressed reuse of prior epoch results: an epoch whose
         #: inputs (experiment, effective system state, epoch index) finger-
         #: print to a previously *clean* run replays that run's results
-        #: instead of re-executing.  Pass a shared/persisted ContentStore to
-        #: let a re-run campaign reuse an earlier campaign's work.
+        #: instead of re-executing.  Pass a shared ContentStore to let a
+        #: re-run campaign reuse an earlier campaign's work; the journal
+        #: keeps every entry the campaign has seen, so a resumed campaign
+        #: replays from them even with a fresh store.
         self.incremental = incremental
         self.result_cache = (
             result_cache if result_cache is not None
@@ -101,13 +104,18 @@ class ContinuousBenchmarking:
         self.session = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
+        #: keys of the result-cache entries the journal already holds
+        self._journaled: set = set()
+        #: bytes of the journal's complete lines; None until there is a
+        #: journal to append to
+        self._journal_bytes: Optional[int] = None
         if resume and self.checkpoint_path.exists():
-            self._load_checkpoint()
+            self._load_journal()
         #: incremental analysis over the accumulated history: per-series
         #: detector states absorb only each epoch's new records, so the
         #: post-epoch regression scan is O(new) instead of a full history
         #: rescan — with events bit-identical to the batch path (the
-        #: engine's contract).  Built after any checkpoint load so it wraps
+        #: engine's contract).  Built after any journal load so it wraps
         #: the restored database.
         self.analysis = AnalysisEngine(
             self.db,
@@ -116,34 +124,40 @@ class ContinuousBenchmarking:
             session=self.session,
         )
 
+    @classmethod
+    def open(cls, workdir: Path | str) -> "ContinuousBenchmarking":
+        """Resume the campaign journaled in ``workdir``, for whichever
+        experiment and system its header names."""
+        with (Path(workdir) / JOURNAL).open() as f:
+            header = json.loads(f.readline())
+        return cls(header["experiment"], header["system"], workdir)
+
     @property
     def benchmark_name(self) -> str:
         return self.experiment.split("/")[0]
 
-    # -- checkpoint / resume -------------------------------------------
+    # -- journal / resume ----------------------------------------------
     @property
     def checkpoint_path(self) -> Path:
-        return self.workdir / "campaign_checkpoint.json"
+        """The campaign journal: a header line, then one line per epoch."""
+        return self.workdir / JOURNAL
 
-    def _save_checkpoint(self) -> None:
-        """Persist campaign state so a killed loop resumes where it died.
-        Written via a temp file + rename so a kill mid-write leaves the
-        previous checkpoint intact."""
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "experiment": self.experiment,
-            "system": self.system_name,
-            "epochs_run": self.epochs_run,
-            "attempt_history": self.attempt_history,
-            "records": self.db.to_records(),
-            # additive key: older checkpoints (and readers) without it are
-            # still version-1 compatible
-            "result_cache": self.result_cache.snapshot(),
-        }
-        tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2))
-        tmp.replace(self.checkpoint_path)
+    def _append(self, line: Dict[str, Any]) -> None:
+        """Append one epoch's line — the only write the campaign state
+        gets, so its cost does not grow with the history."""
+        data = (json.dumps(line, separators=(",", ":")) + "\n").encode()
+        mode = "ab"
+        if self._journal_bytes is None:  # a new journal: header first
+            self.workdir.mkdir(parents=True, exist_ok=True)
+            header = {"version": JOURNAL_VERSION,
+                      "experiment": self.experiment, "system": self.system_name}
+            data = (json.dumps(header) + "\n").encode() + data
+            self._journal_bytes, mode = 0, "wb"
+        with self.checkpoint_path.open(mode) as f:
+            if f.tell() > self._journal_bytes:
+                f.truncate(self._journal_bytes)  # a torn append, dropped
+            f.write(data)
+        self._journal_bytes += len(data)
 
     def _corrupt(self, error: Exception) -> ValueError:
         return ValueError(
@@ -151,40 +165,48 @@ class ContinuousBenchmarking:
             f"delete it (or pass resume=False) to restart the campaign"
         )
 
-    def _load_checkpoint(self) -> None:
+    def _load_journal(self) -> None:
+        """Rebuild the campaign by feeding every complete journal line
+        through :meth:`_ingest`, the path a live epoch takes.  A last line
+        without its newline is an append a kill cut short: it is skipped
+        here and truncated by the next append, so opening a journal never
+        writes to it."""
+        raw = self.checkpoint_path.read_bytes()
+        end = raw.rfind(b"\n") + 1
+        lines = raw[:end].splitlines()
+        if not lines:
+            return
         try:
-            payload = json.loads(self.checkpoint_path.read_text())
-            if not isinstance(payload, dict):
-                raise TypeError(f"a JSON {type(payload).__name__}, "
+            header = json.loads(lines[0])
+            if not isinstance(header, dict):
+                raise TypeError(f"a JSON {type(header).__name__}, "
                                 f"not an object")
-        except (json.JSONDecodeError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise self._corrupt(e) from e
-        if payload.get("version") != CHECKPOINT_VERSION:
+        if header.get("version") != JOURNAL_VERSION:
             raise ValueError(
                 f"checkpoint {self.checkpoint_path} has version "
-                f"{payload.get('version')}; expected {CHECKPOINT_VERSION}"
+                f"{header.get('version')}; expected {JOURNAL_VERSION}"
             )
-        if (payload.get("experiment") != self.experiment
-                or payload.get("system") != self.system_name):
+        if (header.get("experiment") != self.experiment
+                or header.get("system") != self.system_name):
             raise ValueError(
                 f"checkpoint {self.checkpoint_path} is for "
-                f"{payload.get('experiment')} on {payload.get('system')}, "
+                f"{header.get('experiment')} on {header.get('system')}, "
                 f"not {self.experiment} on {self.system_name}"
             )
+        stats: Dict[str, int] = {}
         try:
-            epochs_run = int(payload["epochs_run"])
-            attempt_history = dict(payload.get("attempt_history", {}))
-            db = MetricsDatabase.from_records(payload["records"])
+            for raw_line in lines[1:]:
+                line = json.loads(raw_line)
+                self._ingest(line)
+                stats = line["stats"]
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise self._corrupt(e) from e
-        self.epochs_run = epochs_run
-        self.attempt_history = attempt_history
-        self.db = db
-        snap = payload.get("result_cache")
-        if snap:
-            # restore() folds the checkpointed hit/miss counters into the
-            # baseline, so a resumed campaign reports *cumulative* rates
-            self.result_cache.restore(snap)
+        # the last line's counters are the store's lifetime totals, so a
+        # resumed campaign reports *cumulative* rates
+        self.result_cache.restore({}, stats)
+        self._journal_bytes = end
 
     # ------------------------------------------------------------------
     def _executor(self, system, epoch: int):
@@ -210,41 +232,56 @@ class ContinuousBenchmarking:
             "epoch": epoch,
         })
 
-    @staticmethod
-    def _epoch_is_clean(outcomes: List[Dict[str, Any]]) -> bool:
-        """True when every run converged on its first attempt with no
-        faults — the only results safe to serve from cache later.  A flaky
-        or faulted epoch must re-execute on the next identical campaign."""
-        for o in outcomes:
-            if int(o.get("attempts", 1) or 1) != 1:
-                return False
-            if o.get("flaky"):
-                return False
-            if int(o.get("returncode", 0) or 0) != 0:
-                return False
-            if o.get("state", "completed") != "completed":
-                return False
-        return True
+    def _ingest(self, line: Dict[str, Any]) -> int:
+        """Fold one epoch's journal line into the campaign — its cache
+        entries, attempt history and epoch-tagged records — and return
+        the FOMs recorded.  A live epoch and a resumed journal line both
+        come through here, so a resumed campaign equals the live one by
+        construction."""
+        epoch = self.epochs_run
+        self.result_cache.restore(line["entries"])
+        self._journaled.update(line["entries"])
+        if "replayed" in line:
+            key = line["replayed"]
+            entry = self.result_cache.peek(key)
+            results, meta = entry["results"], {}
+            tags = {"cached": "true", "cache_provenance": (
+                f"replayed clean epoch {entry['epoch']} (fingerprint {key})")}
+        else:
+            results, meta, tags = line["results"], line["attempts"], {}
+            key = line.get("key")
+            if key is not None:  # a clean epoch, cached as its own results
+                if key not in self.result_cache:  # resuming
+                    self.result_cache.restore(
+                        {key: {"results": results, "epoch": epoch}})
+                self._journaled.add(key)
+        if meta:
+            self.attempt_history[str(epoch)] = meta
+        # Tag every record with its epoch for the time axis, plus the
+        # attempt log so the analysis layer can tell converged samples from
+        # retried (flaky) ones.  Tags go on copies of the variables: the
+        # results payload stays untagged for the cache and the journal.
+        experiments = []
+        for exp in results["experiments"]:
+            info = meta.get(exp["name"], {})
+            variables = dict(exp.get("variables", {}), epoch=str(epoch),
+                             attempts=str(info.get("attempts", 1)),
+                             flaky="true" if info.get("flaky") else "false",
+                             **tags)
+            if info.get("fault_kinds"):
+                variables["fault_kinds"] = ",".join(info["fault_kinds"])
+            experiments.append(dict(exp, variables=variables))
+        count = self.db.ingest_analysis(
+            self.system_name, dict(results, experiments=experiments))
+        self.epochs_run += 1
+        return count
 
-    def _replay_epoch(self, epoch: int, key: str, entry: Dict[str, Any]) -> int:
-        """Serve one epoch from the result cache: identical inputs already
-        produced these results, so ingest them directly — tagged with
-        provenance — instead of re-running setup/run/analyze."""
-        with self.session.region("epoch:replay"):
-            results = copy.deepcopy(entry["results"])
-            for exp in results["experiments"]:
-                variables = exp.setdefault("variables", {})
-                variables["epoch"] = str(epoch)
-                variables["attempts"] = "1"
-                variables["flaky"] = "false"
-                variables["cached"] = "true"
-                variables["cache_provenance"] = (
-                    f"replayed clean epoch {entry['epoch']} "
-                    f"(fingerprint {key})"
-                )
-            count = self.db.ingest_analysis(self.system_name, results)
-            self.epochs_run += 1
-            self._save_checkpoint()
+    def _commit(self, line: Dict[str, Any]) -> int:
+        """Ingest a live epoch's line, then append it to the journal."""
+        stats = self.result_cache.stats()
+        line["stats"] = {k: stats[k] for k in ("hits", "misses", "puts")}
+        count = self._ingest(line)
+        self._append(line)
         return count
 
     def run_epoch(self) -> int:
@@ -252,7 +289,7 @@ class ContinuousBenchmarking:
 
         With ``incremental=True`` (the default), the epoch's inputs are
         fingerprinted first; if an identical epoch already ran cleanly —
-        e.g. this campaign was re-run with a shared or checkpoint-restored
+        e.g. this campaign was re-run with a shared or journal-restored
         ``result_cache`` — its results are replayed instead of re-executing
         the benchmarks.  Flaky or faulted epochs are never cached, so a
         replay always stands for a deterministic, converged run.
@@ -260,9 +297,15 @@ class ContinuousBenchmarking:
         epoch = self.epochs_run
         system = self.schedule.system_at(self.base_system, epoch)
         key = self._epoch_key(system, epoch) if self.incremental else None
-        entry = self.result_cache.get(key) if key is not None else None
-        if entry is not None:
-            return self._replay_epoch(epoch, key, entry)
+        # the journal keeps every cache entry the campaign has seen: the
+        # whole store on its first line, then what the store gained since
+        line: Dict[str, Any] = {"entries": {
+            k: v for k, v in self.result_cache.items()
+            if k not in self._journaled}}
+        if key is not None and self.result_cache.get(key) is not None:
+            line["replayed"] = key
+            with self.session.region("epoch:replay"):
+                return self._commit(line)
         with self.session.region("epoch:setup"):
             benchpark = benchpark_setup(
                 self.experiment, self.system_name,
@@ -273,42 +316,29 @@ class ContinuousBenchmarking:
             outcomes = benchpark.run(executor=self._executor(system, epoch))
         with self.session.region("epoch:analyze"):
             results = benchpark.analyze()
-        # Pristine copy for the cache *before* epoch tagging mutates the
-        # payload — a later replay re-tags for its own epoch.
-        pristine = copy.deepcopy(results)
-        # Tag every record with its epoch for the time axis, plus the
-        # attempt log so the analysis layer can tell converged samples from
-        # retried (flaky) ones.
-        by_name = {o.get("experiment"): o for o in outcomes}
-        epoch_meta: Dict[str, Any] = {}
-        for exp in results["experiments"]:
-            variables = exp.setdefault("variables", {})
-            variables["epoch"] = str(epoch)
-            outcome = by_name.get(exp["name"], {})
-            attempts = int(outcome.get("attempts", 1) or 1)
-            flaky = bool(outcome.get("flaky", False))
-            variables["attempts"] = str(attempts)
-            variables["flaky"] = "true" if flaky else "false"
-            if outcome.get("fault_kinds"):
-                variables["fault_kinds"] = ",".join(outcome["fault_kinds"])
-            if attempts != 1 or flaky:
-                epoch_meta[exp["name"]] = {
+        # every run that was retried, flaky or not completed (a refused run
+        # made 0 attempts) goes into the attempt history
+        meta: Dict[str, Any] = {}
+        for o in outcomes:
+            attempts = int(o.get("attempts", 1))
+            flaky = bool(o.get("flaky", False))
+            state = o.get("state", "completed")
+            if attempts != 1 or flaky or state != "completed":
+                meta[o["experiment"]] = {
                     "attempts": attempts,
                     "flaky": flaky,
-                    "fault_kinds": list(outcome.get("fault_kinds", [])),
-                    "total_backoff_s": float(
-                        outcome.get("total_backoff_s", 0.0)
-                    ),
-                    "state": outcome.get("state", "completed"),
+                    "fault_kinds": list(o.get("fault_kinds", [])),
+                    "total_backoff_s": float(o.get("total_backoff_s", 0.0)),
+                    "state": state,
                 }
-        count = self.db.ingest_analysis(self.system_name, results)
-        if epoch_meta:
-            self.attempt_history[str(epoch)] = epoch_meta
-        if key is not None and self._epoch_is_clean(outcomes):
-            self.result_cache.put(key, {"results": pristine, "epoch": epoch})
-        self.epochs_run += 1
-        self._save_checkpoint()
-        return count
+        line.update(results=results, attempts=meta)
+        # only a clean epoch — every run converged on its first attempt
+        # with no fault — is safe to serve from the cache later
+        if key is not None and not meta and all(
+                int(o.get("returncode", 0) or 0) == 0 for o in outcomes):
+            self.result_cache.put(key, {"results": results, "epoch": epoch})
+            line["key"] = key
+        return self._commit(line)
 
     def run(self, epochs: int) -> "ContinuousBenchmarking":
         """Run ``epochs`` *additional* epochs."""
@@ -318,7 +348,7 @@ class ContinuousBenchmarking:
 
     def run_until(self, total_epochs: int) -> "ContinuousBenchmarking":
         """Run until ``total_epochs`` epochs exist — the resumable entry
-        point: after a kill, a fresh loop picks up the checkpoint and only
+        point: after a kill, a fresh loop picks up the journal and only
         runs the missing epochs."""
         while self.epochs_run < total_epochs:
             self.run_epoch()

@@ -5,7 +5,7 @@ Two primitives shared by every layer of the reproduction:
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
 * :class:`ContentStore` — a content-addressed cache with hit/miss
-  statistics and checkpointable snapshots.
+  statistics that a campaign journal persists and restores.
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
 critical-path-charged DAG installs (:mod:`repro.spack.installer`), cached

@@ -5,15 +5,16 @@ reuse, epoch-level result replay) shares this one primitive: a map from
 :func:`repro.perf.fingerprint` digests to previously computed results, with
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
-The store lives in memory and is snapshot/restorable: the campaign
-checkpoint is the one place a result cache is persisted, carrying both the
-cached entries *and* the cumulative counters across a kill/resume — a
-resumed campaign reports lifetime hit rates, not per-resume ones.
+The store lives in memory.  A campaign journal is the one place a result
+cache is persisted: each epoch's line carries the entries the store gained
+since the campaign's previous line and its cumulative counters, and
+:meth:`restore` folds them back in on resume — a resumed campaign reports
+lifetime hit rates, not per-resume ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 __all__ = ["ContentStore"]
 
@@ -29,7 +30,7 @@ class ContentStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        #: counters carried over from a prior life (checkpoint resume)
+        #: counters carried over from a prior life (journal resume)
         self._baseline = {k: 0 for k in _STAT_KEYS}
 
     # -- core map interface -------------------------------------------------
@@ -79,24 +80,20 @@ class ContentStore:
             "hit_rate": (hits / lookups) if lookups else 0.0,
         }
 
-    # -- checkpoint integration ---------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable dump of entries + cumulative counters."""
-        stats = self.stats()
-        return {
-            "name": self.name,
-            "entries": dict(self._entries),
-            "stats": {k: stats[k] for k in _STAT_KEYS},
-        }
+    # -- journal integration ---------------------------------------------
+    def items(self):
+        """``(key, value)`` pairs in insertion order, without touching the
+        statistics."""
+        return self._entries.items()
 
-    def restore(self, snapshot: Dict[str, Any]) -> "ContentStore":
-        """Load a prior :meth:`snapshot`: entries are merged in and the
-        snapshot's counters become the baseline, so :meth:`stats` reports
-        lifetime totals across restarts."""
-        self._entries.update(snapshot.get("entries", {}))
-        prior = snapshot.get("stats", {})
+    def restore(self, entries: Dict[str, Any],
+                stats: Optional[Dict[str, int]] = None) -> "ContentStore":
+        """Merge journaled ``entries`` without counting them as puts, and
+        add ``stats`` (a prior life's cumulative counters) to the baseline,
+        so :meth:`stats` reports lifetime totals across restarts."""
+        self._entries.update(entries)
         for k in _STAT_KEYS:
-            self._baseline[k] += int(prior.get(k, 0))
+            self._baseline[k] += int((stats or {}).get(k, 0))
         return self
 
     def __repr__(self):

@@ -43,6 +43,24 @@ class TestCaliper:
         assert regions["main/solve"].inclusive == pytest.approx(2.0)
         assert regions["main"].exclusive == pytest.approx(1.5)
 
+    def test_flushed_tree_has_no_negative_exclusive(self):
+        clock = FakeClock()
+        s = CaliperSession(clock=clock)
+        for name, dt in (("setup", 1.0), ("solve", 2.0)):
+            with s.region(name):
+                clock.tick(dt)
+                with s.region("inner"):
+                    clock.tick(0.5)
+        tree = s.flush().to_dict()["tree"]
+        assert tree["inclusive"] == pytest.approx(4.0)
+
+        def nodes(node):
+            yield node
+            for child in node["children"]:
+                yield from nodes(child)
+
+        assert all(n["exclusive"] >= 0 for n in nodes(tree))
+
     def test_visit_counts(self):
         s = CaliperSession(clock=FakeClock())
         for _ in range(3):

@@ -38,7 +38,7 @@ class TestBitIdentity:
     def test_one_shot_equals_batch(self):
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         state.extend(series)
         assert state.events("m") == _batch(det, series)
 
@@ -46,7 +46,7 @@ class TestBitIdentity:
     def test_chunked_feed_equals_batch(self, chunk):
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         for i in range(0, len(series), chunk):
             state.extend(series[i:i + chunk])
             # at every intermediate point the state equals a full rescan of
@@ -59,7 +59,7 @@ class TestBitIdentity:
         det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
         late = [(2.0, 60.0), (11.0, 95.0)]
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         state.extend(series)
         state.extend(late)
         assert state.events("m") == _batch(det, series + late)
@@ -68,7 +68,7 @@ class TestBitIdentity:
         det = RegressionDetector(threshold=0.10, window=2,
                                  higher_is_better=False)
         series = [(float(e), 10.0 if e < 6 else 13.0) for e in range(12)]
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=2, higher_is_better=False)
         for pair in series:
             state.extend([pair])
         events = state.events("walltime")
@@ -76,17 +76,9 @@ class TestBitIdentity:
         assert len(events) == 1 and events[0].ratio > 1.0
 
     def test_short_series_reports_nothing(self):
-        det = RegressionDetector(window=3)
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         state.extend([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
         assert state.events() == []
-
-    def test_detect_incremental_helper(self):
-        det = RegressionDetector(threshold=0.10, window=3)
-        series = _history()
-        state = det.make_state()
-        events = det.detect_incremental(state, series, "m")
-        assert events == _batch(det, series)
 
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=12),
@@ -98,7 +90,8 @@ class TestBitIdentity:
     def test_property_random_feeds(self, pairs, window):
         det = RegressionDetector(threshold=0.10, window=window)
         series = [(float(e), v) for e, v in pairs]
-        state = det.make_state()
+        state = SeriesState(threshold=0.10, window=window,
+                            higher_is_better=True)
         state.extend(series)
         assert state.events("m") == _batch(det, series)
         assert state.series() == epoch_means(series)

@@ -234,12 +234,10 @@ class TestCliSuite:
 
 class TestCliReport:
     def test_report_from_dump(self, tmp_path, capsys):
-        from repro.ci import MetricsDatabase
+        from repro.core.continuous import ContinuousBenchmarking
 
-        db = MetricsDatabase()
-        db.record("saxpy", "cts1", "e1", "bandwidth", 3.0, "GB/s")
-        db.dump(tmp_path / "db.json")
-        assert cli_main(["report", str(tmp_path / "db.json")]) == 0
+        ContinuousBenchmarking("saxpy/openmp", "cts1", tmp_path).run(1)
+        assert cli_main(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "bandwidth" in out and "cts1" in out
 

@@ -62,6 +62,10 @@ class TestWarmCampaign:
         for rec in recs:
             assert rec.manifest["cached"] == "true"
             assert "replayed clean epoch" in rec.manifest["cache_provenance"]
+        # the tags go on the records, never on the cached results
+        for _, entry in shared.items():
+            for exp in entry["results"]["experiments"]:
+                assert not {"epoch", "cached"} & set(exp["variables"])
 
     def test_warm_campaign_reproduces_detected_regression(self, tmp_path):
         """A degradation found cold is found identically warm — the replay

@@ -416,10 +416,29 @@ class TestFaultTolerantCampaign:
     def test_checkpoint_written_every_epoch(self, tmp_path):
         loop = self._loop(tmp_path)
         loop.run_epoch()
-        payload = json.loads(loop.checkpoint_path.read_text())
-        assert payload["epochs_run"] == 1
-        assert payload["system"] == "cts1"
-        assert payload["records"]
+        lines = loop.checkpoint_path.read_text().splitlines()
+        assert json.loads(lines[0]) == {
+            "version": 2, "experiment": "stream/openmp", "system": "cts1"}
+        assert len(lines) == 2
+        assert json.loads(lines[1])["results"]["experiments"]
+        loop.run_epoch()  # one more line per epoch, the earlier ones kept
+        assert loop.checkpoint_path.read_text().splitlines()[:2] == lines
+        assert len(loop.checkpoint_path.read_text().splitlines()) == 3
+
+    def test_refused_runs_recorded_in_history(self, tmp_path):
+        """A run refused by an open circuit breaker made no attempt; it
+        must still show in the attempt history, with its real count."""
+        breakers = CircuitBreakerRegistry(failure_threshold=1)
+        breakers.get("cts1", "continuous").record_failure()
+        loop = self._loop(tmp_path, breakers=breakers)
+        loop.run_epoch()
+        results = json.loads(
+            (tmp_path / "epoch-0" / "results.latest.json").read_text())
+        meta = loop.attempt_history["0"]
+        assert set(meta) == {exp["name"] for exp in results["experiments"]}
+        for info in meta.values():
+            assert info["state"] == "refused"
+            assert info["attempts"] == 0
 
     def test_killed_campaign_resumes_from_checkpoint(self, tmp_path):
         # First incarnation dies after 3 of 5 epochs.
@@ -457,14 +476,16 @@ class TestFaultTolerantCampaign:
         with pytest.raises(ValueError, match="checkpoint"):
             ContinuousBenchmarking("saxpy/openmp", "cts1", tmp_path)
 
-    @pytest.mark.parametrize("payload", [
-        [],
-        {"version": 1, "experiment": "stream/openmp", "system": "cts1"},
-        {"version": 1, "experiment": "stream/openmp", "system": "cts1",
-         "epochs_run": "x", "records": []},
+    HEADER = {"version": 2, "experiment": "stream/openmp", "system": "cts1"}
+
+    @pytest.mark.parametrize("lines", [
+        [[]],  # the header is not an object
+        [HEADER, {}],  # an epoch line with neither results nor a replay
+        [HEADER, "x"],  # an epoch line that is not an object
     ], ids=["not-an-object", "no-epochs-run", "epochs-run-not-int"])
-    def test_malformed_checkpoint_rejected(self, tmp_path, payload):
-        (tmp_path / "campaign_checkpoint.json").write_text(json.dumps(payload))
+    def test_malformed_checkpoint_rejected(self, tmp_path, lines):
+        (tmp_path / "campaign.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(ValueError, match=r"corrupt.*resume=False"):
             self._loop(tmp_path)
 
