@@ -11,7 +11,9 @@ numbers to ``BENCH_incremental.json``:
    regression events (correctness is asserted, not assumed).  Each
    campaign's journal must grow by a flat number of bytes per epoch: after
    the first epoch's append, the last epoch may append at most
-   ``FLATNESS_MAX`` times what the second did.
+   ``FLATNESS_MAX`` times what the second did.  The cold campaign sets its
+   workspace up once: its ``epoch:setup`` region may be visited at most
+   ``SETUP_VISITS_MAX`` times, however many epochs run.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
    post-order; the simulated makespan must be the DAG's critical path,
    strictly below the serial sum of build times.
@@ -23,8 +25,8 @@ Run directly (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_incremental.py [--quick]
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
-gate (timings on loaded CI runners are noisy); the hit-rate and flatness
-gates always apply.
+gate (timings on loaded CI runners are noisy); the hit-rate, flatness and
+set-up gates always apply.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ EXPERIMENT = "stream/openmp"
 SYSTEM = "cts1"
 #: the last epoch's journal append over the second epoch's, at most
 FLATNESS_MAX = 1.1
+#: workspace set-ups a cold campaign may run, whatever its length
+SETUP_VISITS_MAX = 1
 
 
 def _fom_series(campaign: ContinuousBenchmarking):
@@ -123,6 +127,7 @@ def bench_warm_campaign(epochs: int) -> dict:
         "foms_identical": True,
         "regressions_identical": True,
         "journal_bytes_per_epoch": {"cold": cold_bytes, "warm": warm_bytes},
+        "setup_visits": cold_profile.regions()["epoch:setup"].visits,
         "caliper_warm": warm_profile.root.to_dict(),
         "_baseline_obj_records": len(baseline.db),
         "_profiles": (cold_profile, warm_profile),
@@ -221,6 +226,11 @@ def main(argv=None) -> int:
                 f"{name} journal: last epoch wrote {appended[-1]} B > "
                 f"{FLATNESS_MAX} x the second epoch's {appended[0]} B"
             )
+    if campaign["setup_visits"] > SETUP_VISITS_MAX:
+        failures.append(
+            f"cold campaign set its workspace up {campaign['setup_visits']} "
+            f"times in {campaign['epochs']} epochs > {SETUP_VISITS_MAX}"
+        )
     if not args.quick and campaign["speedup_vs_baseline"] < args.min_speedup:
         failures.append(
             f"warm speedup {campaign['speedup_vs_baseline']:.1f}x < "

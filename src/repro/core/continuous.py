@@ -10,13 +10,17 @@ these changes."
 health follows a :class:`~repro.systems.failures.FailureSchedule`, stores
 every FOM in the metrics database tagged with its epoch, and scans the
 accumulated history with a :class:`~repro.analysis.regression.RegressionDetector`.
-The regression-tracking bench injects a DIMM degradation mid-history and
-shows the loop localizing it in time.
+Like Ramble's ``workspace setup`` / ``ramble on`` split (§3.2), the campaign
+sets one workspace up under ``workdir/workspace/`` and runs each cold epoch's
+experiments into ``workdir/epoch-N/``; set-up runs again only when the
+fingerprint of its inputs changes.  The regression-tracking bench injects a
+DIMM degradation mid-history and shows the loop localizing it in time.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -29,16 +33,18 @@ from repro.analysis.regression import (
 )
 from repro.ci import MetricsDatabase
 from repro.perf import ContentStore, fingerprint
+from repro.ramble import builtin_applications
 from repro.resilience import (
     CircuitBreakerRegistry,
     FaultTolerantExecutor,
     RetryPolicy,
     TransientFaultInjector,
 )
+from repro.spack.repository import default_repo_path
 from repro.systems import SystemExecutor, get_system
 from repro.systems.failures import FailureSchedule
 
-from .driver import benchpark_setup
+from .driver import benchpark_setup, workspace_config
 
 __all__ = ["ContinuousBenchmarking"]
 
@@ -109,6 +115,9 @@ class ContinuousBenchmarking:
         #: bytes of the journal's complete lines; None until there is a
         #: journal to append to
         self._journal_bytes: Optional[int] = None
+        #: (setup fingerprint, set-up workspace) of the campaign workspace;
+        #: None until a cold epoch sets it up
+        self._workspace: Optional[tuple] = None
         if resume and self.checkpoint_path.exists():
             self._load_journal()
         #: incremental analysis over the accumulated history: per-series
@@ -232,6 +241,31 @@ class ContinuousBenchmarking:
             "epoch": epoch,
         })
 
+    @property
+    def workspace_dir(self) -> Path:
+        """The campaign workspace: set up once, run by every cold epoch."""
+        return self.workdir / "workspace"
+
+    def _setup_key(self) -> str:
+        """Fingerprint of everything workspace set-up consumes, looked up
+        afresh: the generated ramble.yaml, the registry's descriptor of the
+        system (with the packages and compilers its Spack runtime reads),
+        the package repository, and what set-up reads of the Ramble
+        application class — its executables, inputs and workloads."""
+        desc = get_system(self.system_name)
+        app = builtin_applications().get(self.benchmark_name)
+        return fingerprint({
+            "config": workspace_config(self.experiment, desc),
+            "system": desc.to_dict(),
+            "packages": desc.packages_config,
+            "compilers": desc.compilers,
+            "repo": default_repo_path().fingerprint(),
+            "application": [
+                f"{app.__module__}.{app.__qualname__}", app.executables,
+                app.inputs, {name: [wl, wl.inputs, wl.variables]
+                             for name, wl in app.workloads.items()}],
+        })
+
     def _ingest(self, line: Dict[str, Any]) -> int:
         """Fold one epoch's journal line into the campaign — its cache
         entries, attempt history and epoch-tagged records — and return
@@ -306,16 +340,22 @@ class ContinuousBenchmarking:
             line["replayed"] = key
             with self.session.region("epoch:replay"):
                 return self._commit(line)
-        with self.session.region("epoch:setup"):
-            benchpark = benchpark_setup(
-                self.experiment, self.system_name,
-                self.workdir / f"epoch-{epoch}",
-            )
-            benchpark.setup()
+        # set the campaign workspace up only when its inputs changed (or on
+        # this process's first cold epoch); else run its experiments again
+        setup_key = self._setup_key()
+        if self._workspace is None or self._workspace[0] != setup_key:
+            with self.session.region("epoch:setup"):
+                shutil.rmtree(self.workspace_dir, ignore_errors=True)
+                benchpark = benchpark_setup(
+                    self.experiment, self.system_name, self.workspace_dir)
+                benchpark.setup()
+            self._workspace = (setup_key, benchpark.workspace)
         with self.session.region("epoch:run"):
-            outcomes = benchpark.run(executor=self._executor(system, epoch))
+            workspace = self._workspace[1].rerooted(
+                self.workdir / f"epoch-{epoch}")
+            outcomes = workspace.run(self._executor(system, epoch))
         with self.session.region("epoch:analyze"):
-            results = benchpark.analyze()
+            results = workspace.analyze()
         # every run that was retried, flaky or not completed (a refused run
         # made 0 attempts) goes into the attempt history
         meta: Dict[str, Any] = {}

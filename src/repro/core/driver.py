@@ -38,7 +38,8 @@ from .layout import (
 )
 from .runtime import SpackRuntime
 
-__all__ = ["benchpark_setup", "BenchparkSession", "BenchparkError", "WORKFLOW_STEPS"]
+__all__ = ["benchpark_setup", "workspace_config", "BenchparkSession",
+           "BenchparkError", "WORKFLOW_STEPS"]
 
 WORKFLOW_STEPS = [
     "1: User clones Benchpark repository",
@@ -76,6 +77,27 @@ def _parse_experiment_id(experiment: str) -> tuple:
     return benchmark, variant
 
 
+def workspace_config(experiment: str,
+                     desc: SystemDescriptor) -> Dict[str, Any]:
+    """The ramble.yaml :func:`benchpark_setup` writes for ``experiment`` on
+    ``desc``: the experiment template with the system's variables and
+    package definitions inlined instead of included, so the workspace is
+    self-contained (Ramble's design goal, §3.2)."""
+    config = experiment_ramble_yaml(*_parse_experiment_id(experiment), desc)
+    config["ramble"].pop("include", None)
+    variables = dict(config["ramble"].get("variables") or {})
+    variables.update(system_variables_yaml(desc)["variables"])
+    config["ramble"]["variables"] = variables
+    # the system-side spack.yaml package definitions (Figure 9) the
+    # include would have provided — default-compiler, default-mpi
+    system_packages = system_spack_yaml(desc)["spack"]["packages"]
+    spack_section = config["ramble"].setdefault("spack", {})
+    merged_packages = dict(system_packages)
+    merged_packages.update(spack_section.get("packages") or {})
+    spack_section["packages"] = merged_packages
+    return config
+
+
 def benchpark_setup(experiment: str, system: str,
                     workspace_dir: Path | str,
                     log: Optional[List[str]] = None) -> "BenchparkSession":
@@ -104,20 +126,7 @@ def benchpark_setup(experiment: str, system: str,
 
     # Step 4 — generate workspace config from the experiment template plus
     # the system profile.
-    config = experiment_ramble_yaml(benchmark, variant, desc)
-    # Inline the system variables instead of file includes: the workspace is
-    # self-contained (Ramble's design goal, §3.2).
-    config["ramble"].pop("include", None)
-    variables = dict(config["ramble"].get("variables") or {})
-    variables.update(system_variables_yaml(desc)["variables"])
-    config["ramble"]["variables"] = variables
-    # Inline the system-side spack.yaml package definitions (Figure 9) the
-    # include would have provided — default-compiler, default-mpi.
-    system_packages = system_spack_yaml(desc)["spack"]["packages"]
-    spack_section = config["ramble"].setdefault("spack", {})
-    merged_packages = dict(system_packages)
-    merged_packages.update(spack_section.get("packages") or {})
-    spack_section["packages"] = merged_packages
+    config = workspace_config(experiment, desc)
     ws = Workspace.create(workspace_dir, config=config)
     # Also drop per-system configs next to the workspace for inspection.
     configs_dir = workspace_dir / "configs" / desc.name

@@ -6,11 +6,20 @@ experiments" (§3.2).  Layout::
     <workspace>/
       configs/ramble.yaml            # primary configuration (Figure 10)
       configs/execute_experiment.tpl # template script (Figure 13)
+      experiments/index.json         # the set-up experiments, for reopening
       experiments/<app>/<workload>/<experiment>/   # one dir per experiment
           execute_experiment         # rendered batch script
           <experiment>.out           # execution log (after `ramble on`)
       software/                      # mini-Spack store for this workspace
       results.latest.json            # analysis output
+
+Set-up happens once; the experiments then run any number of times.  A
+run may go into the workspace itself or, through :meth:`Workspace.rerooted`,
+into another directory: a continuous-benchmarking campaign sets one
+workspace up and runs each epoch into ``epoch-N/``, which then holds only
+that run's ``experiments/.../<experiment>.out`` logs and its
+``results.latest.json`` — the rendered scripts and the software store stay
+in the one set-up workspace.
 
 The five commands map to methods:
 
@@ -25,8 +34,9 @@ The five commands map to methods:
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -73,7 +83,26 @@ class Experiment:
             "workload": self.workload,
             "variables": dict(self.variables),
             "run_dir": str(self.run_dir),
+            "env_specs": [{"spec": s.to_node_dict(deps=True),
+                           "concrete": s.concrete} for s in self.env_specs],
+            "success_criteria": [vars(c) for c in self.success_criteria],
         }
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> "Experiment":
+        run_dir = Path(d["run_dir"])
+        return cls(
+            name=d["name"],
+            application=d["application"],
+            workload=d["workload"],
+            variables=d["variables"],
+            run_dir=run_dir,
+            script_path=run_dir / "execute_experiment",
+            env_specs=[Spec.from_node_dict(s["spec"], concrete=s["concrete"])
+                       for s in d.get("env_specs", [])],
+            success_criteria=[SuccessCriterionDef(**c)
+                              for c in d.get("success_criteria", [])],
+        )
 
 
 class Workspace:
@@ -339,6 +368,28 @@ class Workspace:
             )
         )
 
+    def rerooted(self, root: Path | str) -> "Workspace":
+        """This set-up workspace, run into ``root``: copies of its
+        experiments with their run directories, their logs and every
+        variable naming them moved under ``root/experiments/``, and
+        analysis writing ``root/results.latest.json``.  The rendered
+        scripts and the software stay shared, so the variables naming a
+        script keep its path.  Each copy owns its ``variables`` dict, so a
+        run's modifiers never leak into the set-up experiments."""
+        view = copy.copy(self)
+        view.path = Path(root)
+        view.experiments = []
+        for exp in self.experiments:
+            run_dir = view.experiments_dir / exp.run_dir.relative_to(
+                self.experiments_dir)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            old, script = str(exp.run_dir), str(exp.script_path)
+            variables = {k: v if script in v else v.replace(old, str(run_dir))
+                         for k, v in exp.variables.items()}
+            view.experiments.append(replace(
+                exp, variables=variables, run_dir=run_dir))
+        return view
+
     # ------------------------------------------------------------------
     # ramble on
     # ------------------------------------------------------------------
@@ -409,15 +460,5 @@ class Workspace:
     def _load_experiment_index(self) -> None:
         if not self._index_path().exists():
             return
-        for d in json.loads(self._index_path().read_text()):
-            run_dir = Path(d["run_dir"])
-            self.experiments.append(
-                Experiment(
-                    name=d["name"],
-                    application=d["application"],
-                    workload=d["workload"],
-                    variables=d["variables"],
-                    run_dir=run_dir,
-                    script_path=run_dir / "execute_experiment",
-                )
-            )
+        self.experiments = [Experiment.from_dict(d) for d in
+                            json.loads(self._index_path().read_text())]

@@ -216,6 +216,28 @@ class TestCli:
         results = json.loads(capsys.readouterr().out)
         assert results["experiments"]
 
+    def test_reopened_workspace_runs_like_setup_full(self, tmp_path, capsys):
+        """A workspace set up by ``setup --full`` and run again through
+        ``run`` + ``analyze`` reopens its experiments from the index with
+        their software: the CUDA build still offloads, with the same
+        statuses."""
+        ws = tmp_path / "ws"
+        assert cli_main(["setup", "amg2023/cuda", "ats2", str(ws),
+                         "--full"]) == 0
+        logs = sorted(ws.glob("experiments/*/*/*/*.out"))
+
+        def outcome():
+            results = json.loads((ws / "results.latest.json").read_text())
+            return ({e["name"]: e["status"] for e in results["experiments"]},
+                    ["# offloading to V100" in p.read_text() for p in logs])
+
+        full = outcome()
+        assert logs and full[1] == [True] * len(logs)
+        assert cli_main(["run", str(ws), "ats2"]) == 0
+        assert cli_main(["analyze", str(ws)]) == 0
+        capsys.readouterr()
+        assert outcome() == full
+
     def test_setup_unknown_system_exit_code(self, tmp_path, capsys):
         assert cli_main(["setup", "saxpy", "nonexistent", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err

@@ -113,6 +113,18 @@ class TestExperimentLevelCriteria:
         record = ws.analyze()["experiments"][0]
         assert record["status"] == "FAILED"
 
+    def test_criteria_survive_reopening(self, tmp_path):
+        Workspace.create(tmp_path / "ws", config=_config([
+            {"name": "bw_absurd", "mode": "fom_comparison",
+             "fom_name": "bandwidth", "formula": "{value} > 100000000"},
+        ])).setup()
+        ws = Workspace(tmp_path / "ws")
+        ws.run(LocalExecutor())
+        record = ws.analyze()["experiments"][0]
+        assert record["status"] == "FAILED"
+        assert {c["criterion"] for c in record["success_criteria"]} == {
+            "pass", "bw_absurd"}
+
     def test_extra_string_criterion(self, tmp_path):
         ws = Workspace.create(tmp_path / "ws", config=_config([
             {"name": "verified", "mode": "string", "match": "PASSED"},

@@ -134,6 +134,41 @@ class TestLifecycle:
         reopened = Workspace(tmp_path / "ws")
         assert len(reopened.experiments) == 8
 
+    def test_rerooted_run(self, tmp_path):
+        """A set-up workspace run into another directory: logs, run dirs
+        and results land there, the scripts stay shared, and a
+        ``{log_file}`` criterion reads the rerooted log."""
+        config = figure10_config(n_values=("256",))
+        experiments = config["ramble"]["applications"]["saxpy"]["workloads"][
+            "problem"]["experiments"]
+        next(iter(experiments.values()))["success_criteria"] = [
+            {"name": "logged", "mode": "string", "match": "Kernel done"}]
+        ws = Workspace.create(tmp_path / "ws", config=config)
+        ws.setup()
+        run = ws.rerooted(tmp_path / "epoch-0")
+        run.run(LocalExecutor())
+        results = run.analyze()
+        assert all(e["status"] == "SUCCESS" for e in results["experiments"])
+        assert (tmp_path / "epoch-0" / "results.latest.json").exists()
+        assert not (tmp_path / "ws" / "results.latest.json").exists()
+        for shared, exp in zip(ws.experiments, run.experiments):
+            assert exp.log_file.exists() and not shared.log_file.exists()
+            assert exp.script_path == shared.script_path
+            assert exp.variables["log_file"] == str(exp.log_file)
+            assert exp.variables["execute_experiment"] == str(shared.script_path)
+            assert exp.variables is not shared.variables
+
+    def test_reopened_experiments_keep_software(self, tmp_path):
+        from repro.core.driver import benchpark_setup
+
+        session = benchpark_setup("amg2023/cuda", "ats2", tmp_path / "ws")
+        session.setup()
+        reopened = Workspace(tmp_path / "ws")
+        assert [e.to_dict() for e in reopened.experiments] == [
+            e.to_dict() for e in session.workspace.experiments]
+        built = reopened.experiments[0].env_specs[-1]
+        assert built.concrete and "+cuda" in str(built)
+
     def test_system_executor_runs(self, tmp_path):
         ws = Workspace.create(
             tmp_path / "ws", config=figure10_config(n_values=("256",))
