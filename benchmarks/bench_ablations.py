@@ -11,7 +11,7 @@ Each ablation toggles one mechanism and measures the consequence:
 
 import numpy as np
 
-from repro.benchmarks.amg import amg_solve, build_hierarchy, poisson_2d
+from repro.benchmarks.amg import amg_solve, build_hierarchy, poisson_2d, run_amg
 from repro.ramble.matrices import expand_matrix
 from repro.spack import BinaryCache, Concretizer, Environment, Installer, Store
 from repro.systems import BatchScheduler, Job, get_system
@@ -87,6 +87,18 @@ def test_ablation_amg_smoother_and_cycle(artifact):
     # Gauss–Seidel smooths better than Jacobi; W-cycles never worse than V.
     assert iters[("gauss_seidel", "V")] <= iters[("jacobi", "V")]
     assert iters[("jacobi", "W")] <= iters[("jacobi", "V")]
+    # The kernel is deterministic: pin the counts EXPERIMENTS.md records, so
+    # any drift in its numerics fails here rather than only in a campaign.
+    assert iters == {("gauss_seidel", "V"): 18, ("gauss_seidel", "W"): 12,
+                     ("jacobi", "V"): 39, ("jacobi", "W"): 26}
+
+    # The configuration the amg2023 experiments run (problem 1, n=10; the
+    # numerics do not depend on the rank count).
+    campaign = run_amg(problem=1, n=10, n_ranks=8)
+    assert campaign.stats.converged
+    assert campaign.stats.iterations == 13
+    assert campaign.num_levels == 4
+    assert round(campaign.operator_complexity, 3) == 3.425
 
     artifact("ablation_amg", "\n".join(
         [f"{sm:<13} {cy}-cycle: {n:3d} iterations"

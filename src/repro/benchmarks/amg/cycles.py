@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .hierarchy import Hierarchy
-from .smoothers import make_smoother
+from .smoothers import Smoother, make_smoother
 
 __all__ = ["cycle", "amg_solve", "pcg_solve", "SolveStats"]
 
@@ -45,6 +45,51 @@ class SolveStats:
         return float(ratio ** (1.0 / (len(self.residuals) - 1)))
 
 
+def _bind(h: Hierarchy, smoother: str, start: int = 0
+          ) -> Tuple[List[Optional[Smoother]], np.ndarray]:
+    """What a cycle needs from levels ``start`` and below, computed once:
+    the smoother bound to each non-coarsest level and the coarsest level's
+    dense matrix.  Callers hold the result for one solve only."""
+    smooths: List[Optional[Smoother]] = [None] * start
+    smooths += [make_smoother(smoother, level.a) for level in h.levels[start:-1]]
+    return smooths, h.levels[-1].a.toarray()
+
+
+def _cycle(
+    h: Hierarchy,
+    smooths: List[Optional[Smoother]],
+    coarse: np.ndarray,
+    b: np.ndarray,
+    x: Optional[np.ndarray],
+    level: int,
+    gamma: int,
+    pre: int,
+    post: int,
+) -> np.ndarray:
+    if gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if x is None:
+        x = np.zeros_like(b)
+    if level == h.num_levels - 1:
+        # Coarsest level: dense direct solve (size is <= coarse_size).
+        return np.linalg.solve(coarse, b)
+
+    a = h.levels[level].a
+    smooth = smooths[level]
+    for _ in range(pre):
+        x = smooth(x, b)
+    residual = b - a @ x
+    coarse_b = h.levels[level].r @ residual
+    coarse_x = np.zeros_like(coarse_b)
+    for _ in range(gamma):
+        coarse_x = _cycle(h, smooths, coarse, coarse_b, coarse_x, level + 1,
+                          gamma, pre, post)
+    x = x + h.levels[level].p @ coarse_x
+    for _ in range(post):
+        x = smooth(x, b)
+    return x
+
+
 def cycle(
     h: Hierarchy,
     b: np.ndarray,
@@ -56,30 +101,8 @@ def cycle(
     post: int = 1,
 ) -> np.ndarray:
     """One multigrid cycle (γ=1: V-cycle, γ=2: W-cycle) starting at level."""
-    if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    a = h.levels[level].a
-    if x is None:
-        x = np.zeros_like(b)
-    if level == h.num_levels - 1:
-        # Coarsest level: dense direct solve (size is <= coarse_size).
-        return np.linalg.solve(a.toarray(), b)
-
-    smooth = make_smoother(smoother, iterations=1)
-    for _ in range(pre):
-        x = smooth(a, x, b)
-    residual = b - a @ x
-    coarse_b = h.levels[level].r @ residual
-    coarse_x = np.zeros_like(coarse_b)
-    for _ in range(gamma):
-        coarse_x = cycle(
-            h, coarse_b, coarse_x, level=level + 1, gamma=gamma,
-            smoother=smoother, pre=pre, post=post,
-        )
-    x = x + h.levels[level].p @ coarse_x
-    for _ in range(post):
-        x = smooth(a, x, b)
-    return x
+    smooths, coarse = _bind(h, smoother, level)
+    return _cycle(h, smooths, coarse, b, x, level, gamma, pre, post)
 
 
 def amg_solve(
@@ -99,9 +122,10 @@ def amg_solve(
         return np.zeros_like(b), stats
     x = np.zeros_like(b)
     t0 = time.perf_counter()
+    smooths, coarse = _bind(h, smoother)
     stats.residuals.append(1.0)
     for _ in range(max_iterations):
-        x = cycle(h, b, x, gamma=gamma, smoother=smoother)
+        x = _cycle(h, smooths, coarse, b, x, 0, gamma, 1, 1)
         rel = float(np.linalg.norm(b - a @ x)) / norm_b
         stats.residuals.append(rel)
         stats.iterations += 1
@@ -129,15 +153,17 @@ def pcg_solve(
         stats.converged = True
         return np.zeros_like(b), stats
 
+    t0 = time.perf_counter()
+    smooths, coarse = _bind(h, smoother)
+
     def precond(r: np.ndarray) -> np.ndarray:
-        return cycle(h, r, gamma=gamma, smoother=smoother)
+        return _cycle(h, smooths, coarse, r, None, 0, gamma, 1, 1)
 
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
-    t0 = time.perf_counter()
     stats.residuals.append(1.0)
     for _ in range(max_iterations):
         ap = a @ p

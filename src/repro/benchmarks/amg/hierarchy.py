@@ -6,6 +6,9 @@ construction:
 1. **Strength of connection** — filter weak couplings
    (|a_ij| ≥ θ·√(a_ii·a_jj)).
 2. **Aggregation** — greedy root-node aggregation over the strength graph.
+   This is the one inherently sequential pass of the set-up (each node's
+   choice depends on the nodes visited before it), so it runs over Python
+   lists rather than per-row NumPy indexing.
 3. **Tentative prolongator** — piecewise-constant injection per aggregate.
 4. **Prolongator smoothing** — one weighted-Jacobi step applied to P
    (this is what separates SA from plain aggregation and restores grid-
@@ -102,34 +105,38 @@ def aggregate(strength: sp.csr_matrix) -> np.ndarray:
 
     Pass 1: pick unaggregated nodes whose strong neighbours are all
     unaggregated as roots; the root plus neighbours form an aggregate.
-    Pass 2: attach leftovers to the aggregate of any strong neighbour
-    (or make them singletons).  Returns aggregate id per node.
+    Pass 2: attach leftovers to the aggregate of their first assigned strong
+    neighbour in column order (or make them singletons).  Returns aggregate
+    id per node.  Both passes walk Python lists: each visit depends on the
+    ones before it, and a list costs far less per row than indexing NumPy
+    arrays a handful of neighbours at a time.
     """
-    n = strength.shape[0]
-    indptr, indices = strength.indptr, strength.indices
-    agg = -np.ones(n, dtype=np.int64)
+    indptr = strength.indptr.tolist()
+    indices = strength.indices.tolist()
+    agg = [-1] * strength.shape[0]
     next_agg = 0
     # Pass 1: roots
-    for i in range(n):
+    for i, start in enumerate(indptr[:-1]):
         if agg[i] != -1:
             continue
-        nbrs = indices[indptr[i]:indptr[i + 1]]
-        if np.all(agg[nbrs] == -1):
+        nbrs = indices[start:indptr[i + 1]]
+        if all(agg[j] == -1 for j in nbrs):
             agg[i] = next_agg
-            agg[nbrs] = next_agg
+            for j in nbrs:
+                agg[j] = next_agg
             next_agg += 1
     # Pass 2: attach stragglers to a neighbouring aggregate
-    for i in range(n):
+    for i, start in enumerate(indptr[:-1]):
         if agg[i] != -1:
             continue
-        nbrs = indices[indptr[i]:indptr[i + 1]]
-        assigned = nbrs[agg[nbrs] != -1]
-        if assigned.size:
-            agg[i] = agg[assigned[0]]
+        for j in indices[start:indptr[i + 1]]:
+            if agg[j] != -1:
+                agg[i] = agg[j]
+                break
         else:
             agg[i] = next_agg
             next_agg += 1
-    return agg
+    return np.array(agg, dtype=np.int64)
 
 
 def _tentative_prolongator(agg: np.ndarray) -> sp.csr_matrix:

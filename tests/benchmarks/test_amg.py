@@ -33,10 +33,32 @@ class TestGrids:
         assert eigs.min() > 0
 
     def test_poisson_3d_stencil(self):
-        a = poisson_3d(4)
-        assert a.shape == (64, 64)
-        # interior row has 7 entries
-        assert a.getrow(21).nnz == 7 or max(a.getnnz(axis=1)) == 7
+        n = 4
+        a = poisson_3d(n)
+        assert a.shape == (n ** 3, n ** 3)
+        assert a.nnz == 7 * n ** 3 - 6 * n ** 2
+        # A node loses one neighbour per coordinate on the boundary:
+        # interior 7, face 6, edge 5, corner 4 entries per row.
+        counts = np.bincount(a.getnnz(axis=1), minlength=8)
+        assert counts[7] == (n - 2) ** 3
+        assert counts[6] == 6 * (n - 2) ** 2
+        assert counts[5] == 12 * (n - 2)
+        assert counts[4] == 8
+
+    def test_poisson_3d_is_x_fastest(self):
+        nx, ny, nz = 3, 4, 5
+        expected = np.zeros((nx * ny * nz,) * 2)
+        for k in range(nz):
+            for j in range(ny):
+                for i in range(nx):
+                    row = i + nx * (j + ny * k)
+                    expected[row, row] = 6.0
+                    for di, dj, dk in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                        for sign in (-1, 1):
+                            ii, jj, kk = i + sign * di, j + sign * dj, k + sign * dk
+                            if 0 <= ii < nx and 0 <= jj < ny and 0 <= kk < nz:
+                                expected[row, ii + nx * (jj + ny * kk)] = -1.0
+        np.testing.assert_array_equal(poisson_3d(nx, ny, nz).toarray(), expected)
 
     def test_anisotropic_epsilon_validated(self):
         with pytest.raises(ValueError):
@@ -208,6 +230,40 @@ class TestSolvers:
         b = np.ones(a.shape[0])
         _, stats = amg_solve(h, b, smoother="gauss_seidel")
         assert stats.converged
+
+    @pytest.mark.parametrize("solve,max_iterations,extra", [
+        (pcg_solve, 200, 0),  # converged: one application per iteration
+        (pcg_solve, 3, 1),    # capped: the last iteration preconditions too
+        (amg_solve, 200, 0),
+    ])
+    def test_solve_clock_covers_every_cycle(self, monkeypatch, solve,
+                                            max_iterations, extra):
+        """solve_seconds must include every top-level cycle, PCG's first
+        preconditioner application too.  A fake clock advances by one per
+        restriction from the finest level, i.e. once per top-level cycle."""
+        from types import SimpleNamespace
+
+        from repro.benchmarks.amg import cycles
+
+        h = build_hierarchy(poisson_3d(10))
+        clock = [0.0]
+
+        class TickingRestriction:
+            def __init__(self, r):
+                self.r = r
+
+            def __matmul__(self, v):
+                clock[0] += 1.0
+                return self.r @ v
+
+        h.levels[0].r = TickingRestriction(h.levels[0].r)
+        monkeypatch.setattr(cycles, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        b = np.random.default_rng(42).random(h.levels[0].n)
+        _, stats = solve(h, b, max_iterations=max_iterations)
+        assert stats.converged == (max_iterations == 200)
+        assert stats.solve_seconds == clock[0]
+        assert stats.solve_seconds == stats.iterations + extra
 
     @given(st.integers(min_value=6, max_value=20))
     @settings(max_examples=8, deadline=None)
