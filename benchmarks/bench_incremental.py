@@ -6,9 +6,10 @@ numbers to ``BENCH_incremental.json``:
 1. **Warm campaign** — a 10-epoch continuous-benchmarking campaign run
    cold, then re-run warm against the same shared result cache.  The warm
    pass must replay every epoch from cache (hit rate >= --min-hit-rate)
-   and, in full mode, finish >= --min-speedup faster than the
-   non-incremental baseline — while producing *identical* FOM series and
-   regression events (correctness is asserted, not assumed).  Each
+   and, in full mode, finish >= --min-speedup faster than the baseline — a
+   fresh campaign with its own result cache, where no epoch can replay —
+   while producing *identical* FOM series and regression events
+   (correctness is asserted, not assumed).  Each
    campaign's journal must grow by a flat number of bytes per epoch: after
    the first epoch's append, the last epoch may append at most
    ``FLATNESS_MAX`` times what the second did.  The cold campaign sets its
@@ -102,7 +103,7 @@ def bench_warm_campaign(epochs: int) -> dict:
 
     t0 = time.perf_counter()
     baseline = ContinuousBenchmarking(
-        EXPERIMENT, SYSTEM, base / "baseline", incremental=False,
+        EXPERIMENT, SYSTEM, base / "baseline",
     ).run(epochs)
     baseline_s = time.perf_counter() - t0
 

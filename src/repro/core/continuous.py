@@ -26,11 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.caliper import CaliperSession
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.regression import (
-    RegressionDetector,
-    RegressionEvent,
-    epoch_means,
-)
+from repro.analysis.regression import RegressionEvent, epoch_means
 from repro.ci import MetricsDatabase
 from repro.perf import ContentStore, fingerprint
 from repro.ramble import builtin_applications
@@ -63,6 +59,13 @@ TRACKED_FOMS: Dict[str, List[tuple]] = {
 }
 
 
+def _corrupt(path: Path, error: Exception) -> ValueError:
+    return ValueError(
+        f"checkpoint {path} is corrupt ({error}); "
+        f"delete it (or pass resume=False) to restart the campaign"
+    )
+
+
 class ContinuousBenchmarking:
     """A long-running benchmarking loop for one experiment on one system."""
 
@@ -72,12 +75,10 @@ class ContinuousBenchmarking:
         system: str,
         workdir: Path | str,
         schedule: Optional[FailureSchedule] = None,
-        detector: Optional[RegressionDetector] = None,
         injector: Optional[TransientFaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breakers: Optional[CircuitBreakerRegistry] = None,
         resume: bool = True,
-        incremental: bool = True,
         result_cache: Optional[ContentStore] = None,
     ):
         self.experiment = experiment
@@ -85,7 +86,6 @@ class ContinuousBenchmarking:
         self.base_system = get_system(system)
         self.workdir = Path(workdir)
         self.schedule = schedule or FailureSchedule()
-        self.detector = detector or RegressionDetector(threshold=0.10, window=2)
         self.injector = injector
         self.retry_policy = retry_policy
         self.breakers = breakers
@@ -100,7 +100,6 @@ class ContinuousBenchmarking:
         #: re-run campaign reuse an earlier campaign's work; the journal
         #: keeps every entry the campaign has seen, so a resumed campaign
         #: replays from them even with a fresh store.
-        self.incremental = incremental
         self.result_cache = (
             result_cache if result_cache is not None
             else ContentStore("epoch-results")
@@ -127,19 +126,22 @@ class ContinuousBenchmarking:
         #: engine's contract).  Built after any journal load so it wraps
         #: the restored database.
         self.analysis = AnalysisEngine(
-            self.db,
-            threshold=self.detector.threshold,
-            window=self.detector.window,
-            session=self.session,
+            self.db, threshold=0.10, window=2, session=self.session,
         )
 
     @classmethod
     def open(cls, workdir: Path | str) -> "ContinuousBenchmarking":
         """Resume the campaign journaled in ``workdir``, for whichever
         experiment and system its header names."""
-        with (Path(workdir) / JOURNAL).open() as f:
-            header = json.loads(f.readline())
-        return cls(header["experiment"], header["system"], workdir)
+        path = Path(workdir) / JOURNAL
+        with path.open() as f:
+            first = f.readline()
+        try:
+            header = json.loads(first)
+            experiment, system = header["experiment"], header["system"]
+        except (ValueError, TypeError, KeyError) as e:
+            raise _corrupt(path, e) from e
+        return cls(experiment, system, workdir)
 
     @property
     def benchmark_name(self) -> str:
@@ -168,12 +170,6 @@ class ContinuousBenchmarking:
             f.write(data)
         self._journal_bytes += len(data)
 
-    def _corrupt(self, error: Exception) -> ValueError:
-        return ValueError(
-            f"checkpoint {self.checkpoint_path} is corrupt ({error}); "
-            f"delete it (or pass resume=False) to restart the campaign"
-        )
-
     def _load_journal(self) -> None:
         """Rebuild the campaign by feeding every complete journal line
         through :meth:`_ingest`, the path a live epoch takes.  A last line
@@ -191,7 +187,7 @@ class ContinuousBenchmarking:
                 raise TypeError(f"a JSON {type(header).__name__}, "
                                 f"not an object")
         except (ValueError, TypeError) as e:
-            raise self._corrupt(e) from e
+            raise _corrupt(self.checkpoint_path, e) from e
         if header.get("version") != JOURNAL_VERSION:
             raise ValueError(
                 f"checkpoint {self.checkpoint_path} has version "
@@ -211,21 +207,18 @@ class ContinuousBenchmarking:
                 self._ingest(line)
                 stats = line["stats"]
         except (KeyError, TypeError, ValueError, AttributeError) as e:
-            raise self._corrupt(e) from e
+            raise _corrupt(self.checkpoint_path, e) from e
         # the last line's counters are the store's lifetime totals, so a
         # resumed campaign reports *cumulative* rates
         self.result_cache.restore({}, stats)
         self._journal_bytes = end
 
     # ------------------------------------------------------------------
-    def _executor(self, system, epoch: int):
-        inner = SystemExecutor(system, epoch=epoch)
-        if (self.injector is None and self.retry_policy is None
-                and self.breakers is None):
-            return inner
+    def _executor(self, system, epoch: int) -> FaultTolerantExecutor:
         return FaultTolerantExecutor(
-            inner, injector=self.injector, policy=self.retry_policy,
-            breakers=self.breakers, runner_tag="continuous",
+            SystemExecutor(system, epoch=epoch), injector=self.injector,
+            policy=self.retry_policy, breakers=self.breakers,
+            runner_tag="continuous",
         )
 
     def _epoch_key(self, system, epoch: int) -> str:
@@ -321,22 +314,22 @@ class ContinuousBenchmarking:
     def run_epoch(self) -> int:
         """One scheduled benchmarking run; returns FOMs recorded.
 
-        With ``incremental=True`` (the default), the epoch's inputs are
-        fingerprinted first; if an identical epoch already ran cleanly —
-        e.g. this campaign was re-run with a shared or journal-restored
-        ``result_cache`` — its results are replayed instead of re-executing
-        the benchmarks.  Flaky or faulted epochs are never cached, so a
-        replay always stands for a deterministic, converged run.
+        The epoch's inputs are fingerprinted first; if an identical epoch
+        already ran cleanly — e.g. this campaign was re-run with a shared
+        or journal-restored ``result_cache`` — its results are replayed
+        instead of re-executing the benchmarks.  Flaky or faulted epochs
+        are never cached, so a replay always stands for a deterministic,
+        converged run.
         """
         epoch = self.epochs_run
         system = self.schedule.system_at(self.base_system, epoch)
-        key = self._epoch_key(system, epoch) if self.incremental else None
+        key = self._epoch_key(system, epoch)
         # the journal keeps every cache entry the campaign has seen: the
         # whole store on its first line, then what the store gained since
         line: Dict[str, Any] = {"entries": {
             k: v for k, v in self.result_cache.items()
             if k not in self._journaled}}
-        if key is not None and self.result_cache.get(key) is not None:
+        if self.result_cache.get(key) is not None:
             line["replayed"] = key
             with self.session.region("epoch:replay"):
                 return self._commit(line)
@@ -374,7 +367,7 @@ class ContinuousBenchmarking:
         line.update(results=results, attempts=meta)
         # only a clean epoch — every run converged on its first attempt
         # with no fault — is safe to serve from the cache later
-        if key is not None and not meta and all(
+        if not meta and all(
                 int(o.get("returncode", 0) or 0) == 0 for o in outcomes):
             self.result_cache.put(key, {"results": results, "epoch": epoch})
             line["key"] = key

@@ -5,9 +5,9 @@ node flap (:class:`TransientError`) from a wrong answer
 (:class:`PermanentError`) either wastes campaign budget re-running broken
 code or gives up on recoverable runs.  Backoff delays are *deterministic* —
 jitter comes from a SHA-256 of the salt and attempt number, not a PRNG —
-so a resumed campaign replays identically, and by default they are only
-*accounted* (``total_backoff_s``), not slept, because the simulated fleet
-has no wall clock to burn.
+so a resumed campaign replays identically, and they are only *accounted*
+(``total_backoff_s``), never slept, because the simulated fleet has no
+wall clock to burn.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class PermanentError(RuntimeError):
 
 class AttemptTimeout(TransientError):
     """An attempt exceeded the policy's per-attempt wall-clock budget."""
+
+    kind = "attempt_timeout"
 
 
 class RetryExhausted(PermanentError):
@@ -145,17 +147,15 @@ class RetryPolicy:
         self,
         fn: Callable[[int], Any],
         salt: str = "",
-        sleep: Optional[Callable[[float], None]] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> tuple:
         """Call ``fn(attempt)`` (attempt is 1-based) until it succeeds or
         the budget runs out; returns ``(result, AttemptLog)``.
 
-        :class:`TransientError` triggers a retry after backoff;
-        :class:`PermanentError` (and any other exception) propagates
-        immediately.  ``sleep`` defaults to ``None`` — the backoff is
-        accounted in the log but not actually slept, which is what the
-        simulated fleet wants; pass ``time.sleep`` for real delays.
+        :class:`TransientError` — an attempt over ``attempt_timeout_s``
+        among them — triggers a retry after backoff, which is accounted in
+        the log but never slept; :class:`PermanentError` (and any other
+        exception) propagates immediately.
         """
         log = AttemptLog()
         while True:
@@ -164,32 +164,18 @@ class RetryPolicy:
             t0 = clock()
             try:
                 result = fn(attempt)
+                elapsed = clock() - t0
+                if (self.attempt_timeout_s is not None
+                        and elapsed > self.attempt_timeout_s):
+                    raise AttemptTimeout(
+                        f"attempt {attempt} took {elapsed:.3f}s "
+                        f"(budget {self.attempt_timeout_s:.3f}s)"
+                    )
+                return result, log
             except TransientError as exc:
                 log.fault_kinds.append(exc.kind)
                 if attempt >= self.max_attempts:
                     raise RetryExhausted(
                         f"gave up after {attempt} attempts: {exc}", log
                     ) from exc
-                delay = self.backoff_s(attempt, salt)
-                log.total_backoff_s += delay
-                if sleep is not None:
-                    sleep(delay)
-                continue
-            elapsed = clock() - t0
-            if (self.attempt_timeout_s is not None
-                    and elapsed > self.attempt_timeout_s):
-                timeout = AttemptTimeout(
-                    f"attempt {attempt} took {elapsed:.3f}s "
-                    f"(budget {self.attempt_timeout_s:.3f}s)"
-                )
-                log.fault_kinds.append("attempt_timeout")
-                if attempt >= self.max_attempts:
-                    raise RetryExhausted(
-                        f"gave up after {attempt} attempts: {timeout}", log
-                    ) from timeout
-                delay = self.backoff_s(attempt, salt)
-                log.total_backoff_s += delay
-                if sleep is not None:
-                    sleep(delay)
-                continue
-            return result, log
+                log.total_backoff_s += self.backoff_s(attempt, salt)

@@ -54,11 +54,11 @@ _DEFAULT_PROVIDER_ORDER = {
 
 _MAX_FIXPOINT_ITERATIONS = 32
 
-#: Process-wide memo of completed solves, shared by default across every
-#: Concretizer instance.  Keys fingerprint *all* solver inputs (abstract
-#: specs, merged configuration, repo recipes, compiler registry, defaults),
-#: so sharing is safe: two concretizers that would solve identically hit the
-#: same entry, and any input change misses.
+#: Process-wide memo of completed solves, shared by every Concretizer.
+#: Keys fingerprint *all* solver inputs (abstract specs, merged
+#: configuration, repo recipes, compiler registry, defaults), so sharing is
+#: safe: two concretizers that would solve identically hit the same entry,
+#: and any input change misses.
 _GLOBAL_MEMO = ContentStore("concretize")
 
 
@@ -100,8 +100,6 @@ class Concretizer:
         default_target: str = "x86_64",
         default_platform: str = "linux",
         reuse_store=None,
-        memoize: bool = True,
-        memo: Optional[ContentStore] = None,
     ):
         self.config = config or Configuration()
         self.repo = repo_path or default_repo_path()
@@ -111,11 +109,6 @@ class Concretizer:
         #: a Store to reuse installed specs from (``spack install --reuse``);
         #: None solves everything fresh
         self.reuse_store = reuse_store
-        #: completed-solve memo; ``memo`` overrides the process-wide default,
-        #: ``memoize=False`` disables caching entirely
-        self.memo: Optional[ContentStore] = (
-            (memo if memo is not None else _GLOBAL_MEMO) if memoize else None
-        )
 
     # ------------------------------------------------------------------
     # public API
@@ -139,7 +132,7 @@ class Concretizer:
         """
         memo_key = self._memo_key(specs, unify)
         if memo_key is not None:
-            cached = self.memo.get(memo_key)
+            cached = _GLOBAL_MEMO.get(memo_key)
             if cached is not None:
                 return [Spec.from_node_dict(d, concrete=True) for d in cached]
 
@@ -153,7 +146,7 @@ class Concretizer:
             for i, root in enumerate(roots):
                 per_root_key = self._memo_key([specs[i]], unify=False)
                 if per_root_key is not None:
-                    hit = self.memo.peek(per_root_key)
+                    hit = _GLOBAL_MEMO.peek(per_root_key)
                     if hit is not None:
                         results.append(Spec.from_node_dict(hit[0], concrete=True))
                         continue
@@ -161,11 +154,11 @@ class Concretizer:
                 results.append(solved)
                 if per_root_key is not None:
                     self._validate(solved)
-                    self.memo.put(per_root_key, [solved.to_node_dict(deps=True)])
+                    _GLOBAL_MEMO.put(per_root_key, [solved.to_node_dict(deps=True)])
         for solved in results:
             self._validate(solved)
         if memo_key is not None:
-            self.memo.put(memo_key, [s.to_node_dict(deps=True) for s in results])
+            _GLOBAL_MEMO.put(memo_key, [s.to_node_dict(deps=True) for s in results])
         return results
 
     # ------------------------------------------------------------------
@@ -175,7 +168,7 @@ class Concretizer:
         """Content fingerprint of every solver input, or None when this
         solve cannot be memoized (a reuse store's contents are mutable and
         are not part of the fingerprint)."""
-        if self.memo is None or self.reuse_store is not None:
+        if self.reuse_store is not None:
             return None
         return fingerprint({
             "specs": [

@@ -105,13 +105,11 @@ class Installer:
         repo_path: Optional[RepoPath] = None,
         binary_cache: Optional[BinaryCache] = None,
         use_cache: bool = True,
-        push_to_cache: bool = True,
     ):
         self.store = store
         self.repo = repo_path or default_repo_path()
         self.cache = binary_cache
         self.use_cache = use_cache and binary_cache is not None
-        self.push_to_cache = push_to_cache and binary_cache is not None
         #: filled by every install(): serial-sum vs critical-path accounting
         self.last_install_stats: Dict[str, float] = {}
 
@@ -190,7 +188,7 @@ class Installer:
         seconds = base_cost * self._variant_cost_factor(spec)
         rec = self.store.add(spec, explicit=explicit, installed_from="source",
                              build_seconds=seconds, artifacts=artifacts)
-        if self.push_to_cache and self.cache is not None:
+        if self.cache is not None:
             self.cache.push(spec, artifacts)
         return BuildResult(spec, "source", seconds, rec.prefix, phases)
 

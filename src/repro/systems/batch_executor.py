@@ -40,21 +40,10 @@ class BatchExecutor:
     wall time, so running them side by side could change the results.
     """
 
-    def __init__(self, system: SystemDescriptor, policy: str = "backfill",
-                 epoch: int = 0, injector=None,
-                 retry_policy=None, breakers=None,
-                 runner_tag: str = "batch"):
+    def __init__(self, system: SystemDescriptor):
         self.system = system
-        self.scheduler = BatchScheduler(system, policy=policy)
-        self.inner = SystemExecutor(system, epoch=epoch)
-        if (injector is not None or retry_policy is not None
-                or breakers is not None):
-            from repro.resilience import FaultTolerantExecutor
-
-            self.inner = FaultTolerantExecutor(
-                self.inner, injector=injector, policy=retry_policy,
-                breakers=breakers, runner_tag=runner_tag,
-            )
+        self.scheduler = BatchScheduler(system)
+        self.inner = SystemExecutor(system)
         self._queued: List[tuple] = []
 
     # -- duration estimation ------------------------------------------------
@@ -101,25 +90,12 @@ class BatchExecutor:
         results = [self.inner.execute(e) for e, _ in self._queued]
         outcomes = []
         for (experiment, job), result in zip(self._queued, results):
-            # Transient faults (a fault-tolerant inner executor reports
-            # attempts > 1) requeue the job: each retry re-enters the queue
-            # after its backoff, so the simulated timeline and queue stats
-            # charge the retries honestly.
-            extra_attempts = max(int(result.get("attempts", 1)) - 1, 0)
-            if extra_attempts and job.finished:
-                per_retry_delay = (
-                    float(result.get("total_backoff_s", 0.0)) / extra_attempts
-                )
-                for _ in range(extra_attempts):
-                    self.scheduler.requeue(job, delay=per_retry_delay)
-                    self.scheduler.run_until_complete()
             result.update({
                 "job_id": job.job_id,
                 "queue_wait": job.wait_time,
                 "sim_start": job.start_time,
                 "sim_end": job.end_time,
-                "sched_attempts": job.attempts,
-                "state": result.get("state", "completed"),
+                "state": "completed",
             })
             experiment.log_file.write_text(result["stdout"])
             outcomes.append({"experiment": experiment.name, **result})

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import shlex
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 from .descriptor import SystemDescriptor
 from .performance import scale_compute_time
@@ -89,6 +89,16 @@ def _strip_launcher(argv: List[str]) -> tuple[List[str], int]:
         out = argv[j:]
         break
     return out, max(n_ranks, 1)
+
+
+def _launches(experiment) -> Iterator[tuple[List[str], int]]:
+    """(argv, ranks) per command of an experiment's rendered script, the
+    launcher stripped; ranks are the larger of the launcher's request and
+    the experiment's ``n_ranks``."""
+    for argv in parse_script_commands(experiment.script_path.read_text()):
+        argv, launcher_ranks = _strip_launcher(argv)
+        ctx_ranks = int(float(experiment.variables.get("n_ranks", 1)))
+        yield argv, max(launcher_ranks, ctx_ranks)
 
 
 class _Dispatch:
@@ -177,15 +187,10 @@ class LocalExecutor:
         self.dispatch = _Dispatch()
 
     def execute(self, experiment) -> Dict[str, Any]:
-        script = experiment.script_path.read_text()
-        commands = parse_script_commands(script)
         out = []
         t0 = time.perf_counter()
         returncode = 0
-        for argv in commands:
-            argv, launcher_ranks = _strip_launcher(argv)
-            ctx_ranks = int(float(experiment.variables.get("n_ranks", 1)))
-            n_ranks = max(launcher_ranks, ctx_ranks)
+        for argv, n_ranks in _launches(experiment):
             try:
                 out.append(self.dispatch.run(argv, n_ranks))
             except ExecutorError as e:
@@ -201,12 +206,9 @@ class LocalExecutor:
 class SystemExecutor:
     """Run experiments 'on' a simulated HPC system."""
 
-    def __init__(self, system: SystemDescriptor, reference_core_gflops: float = 20.0,
-                 epoch: int = 0):
+    def __init__(self, system: SystemDescriptor, epoch: int = 0):
         self.system = system
         self.dispatch = _Dispatch(interconnect=system.interconnect)
-        #: assumed rate of the measuring host, used to rescale real timings
-        self.reference_core_gflops = reference_core_gflops
         #: benchmarking epoch, salted into the jitter so continuous runs of
         #: the same experiment see realistic run-to-run variation
         self.epoch = epoch
@@ -239,18 +241,13 @@ class SystemExecutor:
         return False
 
     def execute(self, experiment) -> Dict[str, Any]:
-        script = experiment.script_path.read_text()
-        commands = parse_script_commands(script)
         out = [f"# executing on {self.system.name} ({self.system.site})\n"]
         use_gpu = self._uses_gpu(experiment) and self.system.has_gpu
         if use_gpu:
             out.append(f"# offloading to {self.system.gpu.model}\n")
         returncode = 0
         t0 = time.perf_counter()
-        for argv in commands:
-            argv, launcher_ranks = _strip_launcher(argv)
-            ctx_ranks = int(float(experiment.variables.get("n_ranks", 1)))
-            n_ranks = max(launcher_ranks, ctx_ranks)
+        for argv, n_ranks in _launches(experiment):
             if n_ranks > self.system.total_cores:
                 out.append(
                     f"ERROR: requested {n_ranks} ranks exceeds "
@@ -264,15 +261,10 @@ class SystemExecutor:
                 out.append(f"ERROR: {e}\n")
                 returncode = 127
                 continue
-            out.append(
-                scale_compute_time(
-                    text,
-                    host_gflops=self.reference_core_gflops,
-                    system=self.system,
-                    noise=self._noise(experiment.name),
-                    use_gpu=use_gpu,
-                )
-            )
+            out.append(scale_compute_time(
+                text, self.system, noise=self._noise(experiment.name),
+                use_gpu=use_gpu,
+            ))
         return {
             "returncode": returncode,
             "stdout": "".join(out),

@@ -50,7 +50,6 @@ def _compute_factor(system: SystemDescriptor, use_gpu: bool = False) -> float:
 
 def scale_compute_time(
     text: str,
-    host_gflops: float,
     system: SystemDescriptor,
     noise: float = 1.0,
     use_gpu: bool = False,

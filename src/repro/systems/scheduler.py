@@ -40,9 +40,6 @@ class Job:
     job_id: int = 0
     start_time: Optional[float] = None
     end_time: Optional[float] = None
-    #: how many times this job has been (re)submitted — a transient fault
-    #: requeues the job rather than failing the campaign
-    attempts: int = 1
 
     @property
     def wait_time(self) -> Optional[float]:
@@ -84,29 +81,6 @@ class BatchScheduler:
             raise SchedulerError(f"job {job.name!r}: duration must be positive")
         job.job_id = next(self._ids)
         job.submit_time = max(job.submit_time, self.now)
-        self.queue.append(job)
-        return job.job_id
-
-    def requeue(self, job: Job, delay: float = 0.0) -> int:
-        """Re-submit a completed (faulted) job as a fresh attempt.
-
-        The job keeps its identity but gets a new submit time (``now +
-        delay`` — the retry policy's backoff maps to ``delay``), cleared
-        start/end times, and an incremented attempt counter.  Its previous
-        completion record is dropped so stats count it once.
-        """
-        if not job.finished:
-            raise SchedulerError(
-                f"job {job.name!r} is not finished; cannot requeue"
-            )
-        if delay < 0:
-            raise SchedulerError(f"requeue delay must be >= 0, got {delay}")
-        if job in self.completed:
-            self.completed.remove(job)
-        job.start_time = None
-        job.end_time = None
-        job.attempts += 1
-        job.submit_time = self.now + delay
         self.queue.append(job)
         return job.job_id
 

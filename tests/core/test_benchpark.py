@@ -2,6 +2,7 @@
 layout (Figure 1a), the driver workflow (Figure 1c), and the CLI."""
 
 import json
+import re
 
 import pytest
 import yaml
@@ -266,6 +267,21 @@ class TestCliReport:
     def test_report_missing_file(self, tmp_path, capsys):
         assert cli_main(["report", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        "",  # an empty journal
+        "[]\n",  # a header that is not an object
+        '{"version": 2, "experiment": "saxpy/openmp"}\n',  # no system
+    ], ids=["empty", "not-an-object", "no-system"])
+    def test_report_corrupt_header(self, tmp_path, capsys, header):
+        from repro.core.continuous import ContinuousBenchmarking
+
+        (tmp_path / "campaign.jsonl").write_text(header)
+        corrupt = r"checkpoint .* is corrupt \(.*\); delete it \(or pass resume=False\)"
+        with pytest.raises(ValueError, match=corrupt):
+            ContinuousBenchmarking.open(tmp_path)
+        assert cli_main(["report", str(tmp_path)]) == 2
+        assert re.search(corrupt, capsys.readouterr().err)
 
 
 class TestCliArchive:

@@ -95,31 +95,6 @@ class TestWarmCampaign:
         keys = {loop._epoch_key(system, e) for e in range(5)}
         assert len(keys) == 5
 
-    def test_non_incremental_never_touches_cache(self, tmp_path):
-        loop = ContinuousBenchmarking(
-            EXPERIMENT, SYSTEM, tmp_path, incremental=False,
-        ).run(2)
-        assert loop.result_cache.stats()["lookups"] == 0
-        assert len(loop.result_cache) == 0
-
-    def test_incremental_off_matches_incremental_on_structure(self, tmp_path):
-        """The cache layer must not perturb a cold campaign: same records,
-        same experiments, same epochs.  (Values are measured from real
-        kernel timings and carry real noise, so only replayed epochs are
-        bit-identical — that property is asserted in the warm tests.)"""
-        inc = ContinuousBenchmarking(
-            EXPERIMENT, SYSTEM, tmp_path / "inc",
-        ).run(3)
-        plain = ContinuousBenchmarking(
-            EXPERIMENT, SYSTEM, tmp_path / "plain", incremental=False,
-        ).run(3)
-        structure = lambda loop: [
-            (r.benchmark, r.system, r.experiment, r.fom_name, r.units,
-             r.manifest.get("epoch"))
-            for r in loop.db.query()
-        ]
-        assert structure(inc) == structure(plain)
-
 
 class TestFlakyEpochs:
     def _flaky_loop(self, workdir, result_cache):

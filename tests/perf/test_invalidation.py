@@ -10,9 +10,13 @@ its fingerprint, and reverting the edit restores the original digest).
 import yaml
 
 from repro.core.layout import generate_benchpark_tree
-from repro.perf import ContentStore, fingerprint, fingerprint_file
+from repro.perf import fingerprint, fingerprint_file
 from repro.ramble.workspace import Workspace
 from repro.spack import Concretizer
+from repro.spack.concretizer import (
+    clear_concretization_memo,
+    concretization_memo,
+)
 from repro.spack.config import ConfigScope, Configuration
 from repro.spack.package import Package
 from repro.spack.repository import RepoPath, Repository, builtin_repo
@@ -90,38 +94,40 @@ class TestPackageRecipeInvalidation:
         repo = Repository("builtin-view")
         for name, cls in builtin_repo()._packages.items():
             repo._packages[name] = cls
-        memo = ContentStore("test-memo")
+        clear_concretization_memo()
+        memo = concretization_memo()
 
-        c1 = Concretizer(repo_path=RepoPath(repo), memo=memo)
+        c1 = Concretizer(repo_path=RepoPath(repo))
         first = c1.concretize("saxpy")
         assert memo.stats()["misses"] == 1
 
         # identical inputs → hit, identical solution
-        again = Concretizer(repo_path=RepoPath(repo), memo=memo).concretize("saxpy")
+        again = Concretizer(repo_path=RepoPath(repo)).concretize("saxpy")
         assert memo.stats()["hits"] >= 1
         assert again.dag_hash() == first.dag_hash()
 
         # register one new recipe → repo fingerprint changes → miss
         misses_before = memo.stats()["misses"]
         repo.register(_make_pkg("Widget"))
-        Concretizer(repo_path=RepoPath(repo), memo=memo).concretize("saxpy")
+        Concretizer(repo_path=RepoPath(repo)).concretize("saxpy")
         assert memo.stats()["misses"] == misses_before + 1
 
 
 class TestConfigInvalidation:
     def test_one_config_value_changes_memo_key(self):
-        memo = ContentStore("cfg-memo")
+        clear_concretization_memo()
+        memo = concretization_memo()
         base = Configuration(ConfigScope(
             "site", {"packages": {"saxpy": {"variants": "+openmp"}}}
         ))
-        solved = Concretizer(config=base, memo=memo).concretize("saxpy")
+        solved = Concretizer(config=base).concretize("saxpy")
         assert solved.variants["openmp"] is True
 
         # identical configuration (fresh objects) → hit
         same = Configuration(ConfigScope(
             "site", {"packages": {"saxpy": {"variants": "+openmp"}}}
         ))
-        Concretizer(config=same, memo=memo).concretize("saxpy")
+        Concretizer(config=same).concretize("saxpy")
         assert memo.stats()["hits"] == 1
 
         # one changed value → different fingerprint → miss (re-solve)
@@ -129,7 +135,7 @@ class TestConfigInvalidation:
             "site", {"packages": {"saxpy": {"variants": "~openmp"}}}
         ))
         assert changed.fingerprint() != base.fingerprint()
-        resolved = Concretizer(config=changed, memo=memo).concretize("saxpy")
+        resolved = Concretizer(config=changed).concretize("saxpy")
         assert resolved.variants["openmp"] is False
         assert memo.stats()["misses"] == 2
 

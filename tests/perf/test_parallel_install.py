@@ -9,7 +9,7 @@ from repro.spack.installer import topological_levels
 
 @pytest.fixture()
 def amg_root():
-    return Concretizer(memoize=False).concretize("amg2023+caliper")
+    return Concretizer().concretize("amg2023+caliper")
 
 
 class TestTopologicalLevels:

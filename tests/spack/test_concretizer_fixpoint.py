@@ -45,7 +45,7 @@ def _repo_with_runaway_root():
 class TestFixpointDiagnostics:
     def test_runaway_conditional_deps_raise_named_error(self):
         concretizer = Concretizer(
-            repo_path=RepoPath(_repo_with_runaway_root()), memoize=False,
+            repo_path=RepoPath(_repo_with_runaway_root()),
         )
         with pytest.raises(ConcretizationError) as exc_info:
             concretizer.concretize("runaway")
@@ -76,5 +76,5 @@ class TestFixpointDiagnostics:
             "type": ("build", "link"),
         }]
         repo.register(App)
-        solved = Concretizer(repo_path=RepoPath(repo), memoize=False).concretize("app")
+        solved = Concretizer(repo_path=RepoPath(repo)).concretize("app")
         assert "dep" in solved.dependencies

@@ -126,9 +126,9 @@ class TestDegradationAffectsBenchmarks:
         degraded = apply_degradation(
             cts1, Degradation("bad-dimm", memory_bw_factor=0.5))
         text = "saxpy bandwidth: 10.0 GB/s\n"
-        healthy_bw = float(scale_compute_time(text, 20.0, cts1)
+        healthy_bw = float(scale_compute_time(text, cts1)
                            .split(": ")[1].split(" ")[0])
-        degraded_bw = float(scale_compute_time(text, 20.0, degraded)
+        degraded_bw = float(scale_compute_time(text, degraded)
                             .split(": ")[1].split(" ")[0])
         assert degraded_bw == pytest.approx(healthy_bw / 2, rel=1e-6)
 

@@ -215,7 +215,7 @@ class TestPerformanceModels:
 
         text = "saxpy kernel time: 0.001 s\nsaxpy bandwidth: 10.0 GB/s\n"
         ats4 = get_system("ats4")  # much higher mem bw than reference
-        out = scale_compute_time(text, 20.0, ats4)
+        out = scale_compute_time(text, ats4)
         t = float(out.split("kernel time: ")[1].split(" s")[0])
         bw = float(out.split("bandwidth: ")[1].split(" GB")[0])
         assert t < 0.001

@@ -285,12 +285,21 @@ class ScriptedInjector:
 
 class TestFaultTolerantExecutor:
     def test_clean_run_passes_through(self):
-        ft = FaultTolerantExecutor(FakeInner())
+        """With no injector the wrapper adds only its attempt log: the
+        inner result's stdout, returncode and seconds come back unchanged,
+        with no resilience note appended."""
+        inner = FakeInner()
+        expected = FakeInner().execute(FakeExperiment())
+        ft = FaultTolerantExecutor(inner)
         result = ft.execute(FakeExperiment())
-        assert result["returncode"] == 0
+        assert {k: result[k] for k in expected} == expected
+        assert "resilience" not in result["stdout"]
+        assert inner.calls == 1
         assert result["attempts"] == 1
         assert result["fault_kinds"] == []
+        assert result["total_backoff_s"] == 0.0
         assert result["flaky"] is False
+        assert result["state"] == "completed"
 
     def test_retried_run_records_attempt_log(self):
         ft = FaultTolerantExecutor(
