@@ -1,11 +1,13 @@
 """Tests for the saxpy and STREAM benchmark kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchmarks.saxpy import A, SaxpyResult, main as saxpy_main, run_saxpy, saxpy_kernel
-from repro.benchmarks.stream import KERNELS, main as stream_main, run_stream
+from repro.benchmarks.stream import KERNELS, _close, main as stream_main, run_stream
 
 
 class TestSaxpyKernel:
@@ -85,9 +87,10 @@ class TestStream:
             assert res.best_rates[k] > 0
 
     def test_validation_recurrence(self):
-        # ntimes affects the expected final values; both must validate.
+        # ntimes and dtype affect the final values; all must validate.
         assert run_stream(10_000, ntimes=2).valid
         assert run_stream(10_000, ntimes=6).valid
+        assert run_stream(10_000, 10, dtype=np.float32).valid
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -107,3 +110,83 @@ class TestStream:
     def test_cli(self, capsys):
         assert stream_main(["-n", "20000", "--ntimes", "3"]) == 0
         assert "Triad" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dtype, ntimes, valid", [
+        (np.float32, 32, True),
+        (np.float32, 33, False),
+        (np.float64, 262, True),
+        (np.float64, 263, False),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_run_is_invalid(self, dtype, ntimes, valid):
+        # The final values grow as 15**ntimes. Past dtype's range the arrays
+        # and the expected values are all inf, which allclose alone passes.
+        assert run_stream(64, ntimes, dtype=dtype).valid is valid
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cli_invalid_exit_code(self, capsys):
+        assert stream_main(["-n", "64", "--ntimes", "263"]) == 1
+        assert "Solution INVALID" in capsys.readouterr().out
+
+    def test_peak_memory_is_the_three_arrays(self):
+        # Set-up and validation allocate nothing beyond the (3, n) block.
+        n = 400_000
+        run_stream(n, 3)
+        tracemalloc.start()
+        try:
+            run_stream(n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 64 * 1024
+
+
+def _nudged(value, dtype, steps):
+    """``value`` rounded to ``dtype``, then moved ``steps`` ulps."""
+    x = np.array(value, dtype=dtype)
+    direction = np.array(np.inf if steps > 0 else -np.inf, dtype=dtype)
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, direction)
+    return x[()]
+
+
+@st.composite
+def close_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    expected = draw(st.one_of(
+        st.floats(allow_nan=False, width=width),
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, 1.0, 2.0, 15.0 ** 10, np.inf, -np.inf]),
+    ))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0,
+                               float(np.finfo(dtype).smallest_subnormal)])
+    elements = [st.floats(width=width), special]
+    values = []
+    if np.isfinite(expected):
+        tol = 1e-8 + 1e-5 * abs(expected)
+        with np.errstate(over="ignore"):
+            edges = [_nudged(expected + sign * tol, dtype, steps)
+                     for sign in (-1, 1) for steps in range(-3, 4)]
+            near = _nudged(expected, dtype, 0)
+            inside = [v for v in edges + [near] if np.isclose(v, expected)]
+        elements.append(st.sampled_from(edges + [near]))
+        if inside and draw(st.booleans()):
+            # All within tolerance but for at most one value at an edge, so
+            # that passing arrays and near misses are both drawn often.
+            values = draw(st.lists(st.sampled_from(inside), min_size=1,
+                                   max_size=63))
+            values += draw(st.lists(st.sampled_from(edges), max_size=1))
+    if not values:
+        values = draw(st.lists(st.one_of(*elements), min_size=1, max_size=64))
+    with np.errstate(over="ignore"):
+        return np.array(values, dtype=dtype), expected
+
+
+class TestClose:
+    @given(close_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_allclose(self, case):
+        x, expected = case
+        with np.errstate(all="ignore"):
+            assert _close(x, expected) == bool(np.allclose(x, expected))
