@@ -1,12 +1,13 @@
-"""Analysis-engine benchmark: cold row-oriented analysis vs. the warm
+"""Analysis-engine benchmark: cold per-epoch rescans vs. the warm
 incremental engine, over the same synthetic multi-epoch campaign.
 
 Per epoch the analysis stack answers three questions: which series
 regressed, how do the scaling series model, and what does the dashboard
-look like now.  The **cold** pass answers them the row-oriented way — a
-full :meth:`RegressionDetector.detect_in_db` rescan per series, Extra-P
-refit from scratch (model cache cleared), ``render_report`` over the raw
-record list.  The **warm** pass answers them through one
+look like now.  The **cold** pass answers them from scratch — a one-shot
+:class:`~repro.analysis.regression.SeriesState` rescan per series per
+epoch (:meth:`RegressionDetector.detect_in_db` feeds the whole series to a
+fresh state), Extra-P refit from scratch (model cache cleared),
+``render_report`` over the raw record list.  The **warm** pass answers them through one
 :class:`~repro.analysis.engine.AnalysisEngine` — persistent per-series
 regression state fed only new samples, memoized model fits — plus the same
 ``render_report`` (the one dashboard).
@@ -87,7 +88,7 @@ def _ingest(db: MetricsDatabase, records) -> None:
 
 
 def run_cold(epoch_records, targets, session: CaliperSession):
-    """Row-oriented per-epoch analysis: full rescans, fresh fits."""
+    """Per-epoch analysis from scratch: full rescans, fresh fits."""
     db = MetricsDatabase()
     detectors = {hib: RegressionDetector(THRESHOLD, WINDOW, hib)
                  for hib in (True, False)}
@@ -151,7 +152,7 @@ def bench(epochs: int, systems, benchmarks) -> dict:
 
     # Correctness gates: the engine must be invisible in the results.
     assert [str(e) for e in cold_events] == [str(e) for e in warm_events], \
-        "incremental regression events diverged from batch recomputation"
+        "incremental regression events diverged from a full rescan"
     assert cold_models == warm_models, \
         "memoized Extra-P model strings diverged from fresh fits"
     assert cold_report == warm_report, \
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     print(json.dumps(results, indent=2))
 
     # Per-stage breakdown to the job log: where the speedup comes from.
-    print("\n# cold (row-oriented) stage breakdown", file=sys.stderr)
+    print("\n# cold (from-scratch) stage breakdown", file=sys.stderr)
     print(cold_profile.runtime_report(), file=sys.stderr)
     print("\n# warm (analysis engine) stage breakdown", file=sys.stderr)
     print(warm_profile.runtime_report(), file=sys.stderr)

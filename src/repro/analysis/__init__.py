@@ -5,7 +5,7 @@ from . import adiak
 from .caliper import CaliperSession, Profile, RegionNode, annotate, global_session, region
 from .diagnosis import FOM_SUBSYSTEMS, FailureHypothesis, diagnose
 from .dashboard import ascii_plot, render_grid, render_report, render_series
-from .engine import AnalysisEngine, SeriesState
+from .engine import AnalysisEngine
 from .extrap import (
     DEFAULT_EXPONENTS,
     Measurement,
@@ -16,7 +16,7 @@ from .extrap import (
     fit_multi_term_model,
     model_cache,
 )
-from .regression import RegressionDetector, RegressionEvent
+from .regression import RegressionDetector, RegressionEvent, SeriesState
 from .scaling import ScalingPoint, classify_scaling, strong_scaling, weak_scaling
 from .thicket import Ensemble, ThicketError
 

@@ -14,8 +14,9 @@ partition's records it has already consumed:
   extended the series, and refits through the memoized :func:`fit_model`
   otherwise.
 
-Both apply the filters of :meth:`RegressionDetector.detect_in_db` and
-:meth:`MetricsDatabase.series`, so results equal the batch path exactly.
+Both read the non-flaky samples :meth:`MetricsDatabase.series` returns with
+``exclude_flaky=True``, so a scan equals a fresh
+:meth:`RegressionDetector.detect_in_db` and a model equals a fresh fit.
 Every stage is a Caliper region (``analysis:*``) on one
 :class:`~repro.analysis.caliper.CaliperSession`, shared with the campaign
 that owns the engine, so a scan's detects nest as
@@ -28,8 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..caliper import CaliperSession
 from ..extrap import _copy_single, fit_model
-from ..regression import RegressionEvent
-from .incremental import SeriesState
+from ..regression import RegressionEvent, SeriesState
 
 __all__ = ["AnalysisEngine"]
 

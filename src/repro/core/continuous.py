@@ -9,7 +9,8 @@ these changes."
 *epoch* — a scheduled CI trigger in real Benchpark — against a system whose
 health follows a :class:`~repro.systems.failures.FailureSchedule`, stores
 every FOM in the metrics database tagged with its epoch, and scans the
-accumulated history with a :class:`~repro.analysis.regression.RegressionDetector`.
+accumulated history through an :class:`~repro.analysis.engine.AnalysisEngine`,
+which feeds each tracked series only its new samples.
 Like Ramble's ``workspace setup`` / ``ramble on`` split (§3.2), the campaign
 sets one workspace up under ``workdir/workspace/`` and runs each cold epoch's
 experiments into ``workdir/epoch-N/``; set-up runs again only when the

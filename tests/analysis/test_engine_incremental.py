@@ -1,6 +1,7 @@
 """Incremental regression state vs. batch recomputation — the equivalence
 is bit-identical (dataclass equality over float fields), not approximate.
-``RegressionDetector.detect`` / ``detect_in_db`` are the oracles."""
+The batch loop in ``batch_oracle`` over :func:`epoch_means` of the raw
+samples is the oracle."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     AnalysisEngine,
-    RegressionDetector,
     SeriesState,
     fit_model,
     model_cache,
 )
 from repro.analysis.regression import epoch_means
 from repro.ci import MetricsDatabase
+
+from .batch_oracle import oracle
 
 
 def _history(n_epochs=16, step_at=10, noise=0.03):
@@ -28,51 +30,54 @@ def _history(n_epochs=16, step_at=10, noise=0.03):
     return series
 
 
-def _batch(det, series, metric="m"):
-    """The row-oriented reference: group raw samples per epoch exactly as
-    detect_in_db does, then run the batch detector."""
-    return det.detect(epoch_means(series), metric)
+def _batch(series, window=3, higher_is_better=True, metric="m"):
+    """The reference: average raw samples per epoch, then run the batch
+    oracle at threshold 0.10."""
+    return oracle(epoch_means(series), 0.10, window, higher_is_better, metric)
+
+
+def _batch_in_db(db, benchmark, system, fom, window, higher_is_better):
+    """The reference for one database series: its non-flaky samples along
+    the epoch axis, as the engine reads them."""
+    return _batch(db.series(benchmark, system, fom, "epoch",
+                            exclude_flaky=True),
+                  window, higher_is_better, f"{benchmark}/{system}/{fom}")
 
 
 class TestBitIdentity:
     def test_one_shot_equals_batch(self):
-        det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
         state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         state.extend(series)
-        assert state.events("m") == _batch(det, series)
+        assert state.events("m") == _batch(series)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7])
     def test_chunked_feed_equals_batch(self, chunk):
-        det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
         state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         for i in range(0, len(series), chunk):
             state.extend(series[i:i + chunk])
             # at every intermediate point the state equals a full rescan of
             # everything fed so far
-            assert state.events("m") == _batch(det, series[:i + chunk])
+            assert state.events("m") == _batch(series[:i + chunk])
 
     def test_late_samples_for_old_epochs(self):
         # a sample arriving for an already-scored epoch must shift the
         # affected suffix exactly as a batch rescan would
-        det = RegressionDetector(threshold=0.10, window=3)
         series = _history()
         late = [(2.0, 60.0), (11.0, 95.0)]
         state = SeriesState(threshold=0.10, window=3, higher_is_better=True)
         state.extend(series)
         state.extend(late)
-        assert state.events("m") == _batch(det, series + late)
+        assert state.events("m") == _batch(series + late)
 
     def test_lower_is_better_metrics(self):
-        det = RegressionDetector(threshold=0.10, window=2,
-                                 higher_is_better=False)
         series = [(float(e), 10.0 if e < 6 else 13.0) for e in range(12)]
         state = SeriesState(threshold=0.10, window=2, higher_is_better=False)
         for pair in series:
             state.extend([pair])
         events = state.events("walltime")
-        assert events == det.detect(series, "walltime")
+        assert events == oracle(series, 0.10, 2, False, "walltime")
         assert len(events) == 1 and events[0].ratio > 1.0
 
     def test_short_series_reports_nothing(self):
@@ -88,12 +93,11 @@ class TestBitIdentity:
         st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_property_random_feeds(self, pairs, window):
-        det = RegressionDetector(threshold=0.10, window=window)
         series = [(float(e), v) for e, v in pairs]
         state = SeriesState(threshold=0.10, window=window,
                             higher_is_better=True)
         state.extend(series)
-        assert state.events("m") == _batch(det, series)
+        assert state.events("m") == _batch(series, window)
         assert state.series() == epoch_means(series)
 
 
@@ -119,16 +123,13 @@ class TestEngineScanParity:
     def test_scan_equals_batch_after_every_epoch(self):
         db = MetricsDatabase()
         engine = AnalysisEngine(db, threshold=0.10, window=3)
-        det = RegressionDetector(threshold=0.10, window=3)
-        det_lib = RegressionDetector(threshold=0.10, window=3,
-                                     higher_is_better=False)
         for epoch in range(14):
             self._record_epoch(db, epoch)
             got = engine.scan(self.TARGETS)
             expected = []
             for benchmark, system, fom, hib in self.TARGETS:
-                d = det if hib else det_lib
-                expected.extend(d.detect_in_db(db, benchmark, system, fom))
+                expected.extend(_batch_in_db(db, benchmark, system, fom, 3,
+                                             hib))
             assert got == sorted(expected, key=lambda e: e.epoch)
         assert got  # the injected step was actually reported
 
@@ -218,9 +219,7 @@ _record = st.tuples(
 def _oracle(db, window):
     events = []
     for benchmark, system, fom, hib in SCANNED:
-        det = RegressionDetector(threshold=0.10, window=window,
-                                 higher_is_better=hib)
-        events.extend(det.detect_in_db(db, benchmark, system, fom))
+        events.extend(_batch_in_db(db, benchmark, system, fom, window, hib))
     return sorted(events, key=lambda e: e.epoch)
 
 

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.regression import RegressionDetector, RegressionEvent
+from repro.analysis.regression import (RegressionDetector, RegressionEvent,
+                                       SeriesState, epoch_means)
 from repro.ci import MetricsDatabase
+
+from .batch_oracle import oracle
 
 
 def series(values):
@@ -84,6 +87,48 @@ class TestDetector:
         events = d.detect_in_db(db, "saxpy", "cts1", "bandwidth")
         assert len(events) == 1
         assert events[0].metric == "saxpy/cts1/bandwidth"
+
+    def test_detect_averages_repeated_epochs(self):
+        # two samples at epoch 2 (60 and 100) form one window position with
+        # mean 80, as in detect_in_db and the campaign's engine, not a 60
+        # window followed by a 100 one
+        samples = [(0, 95.0), (0, 95.0), (2, 60.0), (2, 100.0), (3, 95.0),
+                   (3, 95.0), (3, 100.0), (4, 100.0), (5, 95.0), (6, 60.0),
+                   (6, 100.0)]
+        events = RegressionDetector(threshold=0.10, window=1).detect(samples)
+        state = SeriesState(threshold=0.10, window=1)
+        state.extend(samples)
+        assert events == state.events()
+        assert events[0].epoch == 2.0
+        assert events[0].observed == 80.0
+        assert events[0].ratio == pytest.approx(80.0 / 95.0)
+
+
+#: raw sample values: exact zeros and signed levels that cancel, so a
+#: baseline can be 0; a few levels, so windows cross every threshold; noise
+_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from([60.0, 80.0, 100.0, -100.0]),
+    st.floats(min_value=-200.0, max_value=200.0,
+              allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    # epochs drawn from a small range, in drawn order: repeated, late and
+    # out-of-order epochs
+    st.lists(st.tuples(st.integers(min_value=0, max_value=14), _values),
+             max_size=45),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0.05, 0.1, 0.2]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_detect_equals_batch_oracle(samples, window, threshold, hib):
+    """Property: detect over raw samples equals the batch oracle over their
+    per-epoch means, event for event and float for float."""
+    got = RegressionDetector(threshold, window, hib).detect(samples, "m")
+    assert got == oracle(epoch_means(samples), threshold, window, hib, "m")
 
 
 @given(
