@@ -14,7 +14,11 @@ numbers to ``BENCH_incremental.json``:
    the first epoch's append, the last epoch may append at most
    ``FLATNESS_MAX`` times what the second did.  The cold campaign sets its
    workspace up once: its ``epoch:setup`` region may be visited at most
-   ``SETUP_VISITS_MAX`` times, however many epochs run.
+   ``SETUP_VISITS_MAX`` times, however many epochs run.  Before the warm
+   pass a foreign campaign (the same experiment on ``FOREIGN_SYSTEM``)
+   runs cold into the shared cache; a journal holds only what its own
+   epochs ingested, so the warm journal may be at most
+   ``JOURNAL_SHARE_MAX`` times the size of the cold one.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
    post-order; the simulated makespan must be the DAG's critical path,
    strictly below the serial sum of build times.
@@ -26,8 +30,8 @@ Run directly (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_incremental.py [--quick]
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
-gate (timings on loaded CI runners are noisy); the hit-rate, flatness and
-set-up gates always apply.
+gate (timings on loaded CI runners are noisy); the hit-rate, flatness,
+set-up and journal-share gates always apply.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ SYSTEM = "cts1"
 FLATNESS_MAX = 1.1
 #: workspace set-ups a cold campaign may run, whatever its length
 SETUP_VISITS_MAX = 1
+#: the system of the campaign whose entries share the store with the warm
+#: pass's, and the warm journal's size over the cold one's, at most
+FOREIGN_SYSTEM = "ats4"
+JOURNAL_SHARE_MAX = 1.1
 
 
 def _fom_series(campaign: ContinuousBenchmarking):
@@ -89,6 +97,9 @@ def bench_warm_campaign(epochs: int) -> dict:
     )
     cold_bytes = _run(cold, epochs)
     cold_s = time.perf_counter() - t0
+    ContinuousBenchmarking(
+        EXPERIMENT, FOREIGN_SYSTEM, base / "foreign", result_cache=shared,
+    ).run(epochs)
 
     before = shared.stats()
     t0 = time.perf_counter()
@@ -128,6 +139,8 @@ def bench_warm_campaign(epochs: int) -> dict:
         "foms_identical": True,
         "regressions_identical": True,
         "journal_bytes_per_epoch": {"cold": cold_bytes, "warm": warm_bytes},
+        "journal_share": (warm.checkpoint_path.stat().st_size
+                          / cold.checkpoint_path.stat().st_size),
         "setup_visits": cold_profile.regions()["epoch:setup"].visits,
         "caliper_warm": warm_profile.root.to_dict(),
         "_baseline_obj_records": len(baseline.db),
@@ -227,6 +240,11 @@ def main(argv=None) -> int:
                 f"{name} journal: last epoch wrote {appended[-1]} B > "
                 f"{FLATNESS_MAX} x the second epoch's {appended[0]} B"
             )
+    if campaign["journal_share"] > JOURNAL_SHARE_MAX:
+        failures.append(
+            f"warm journal is {campaign['journal_share']:.2f} x the cold "
+            f"journal's size > {JOURNAL_SHARE_MAX}"
+        )
     if campaign["setup_visits"] > SETUP_VISITS_MAX:
         failures.append(
             f"cold campaign set its workspace up {campaign['setup_visits']} "

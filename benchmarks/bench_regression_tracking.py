@@ -4,7 +4,9 @@ diagnosing hardware failures".
 Runs a 10-epoch continuous-benchmarking history of STREAM on cts1 with a
 DIMM degradation (memory bandwidth halved) injected at epoch 5 and repaired
 at epoch 8, then asks the regression detector to reconstruct the incident
-from the stored FOM series alone.  Benchmarks one full epoch of the loop.
+from the stored FOM series alone.  Benchmarks one full epoch of the loop
+after that; the assertions and the artifact cover the 10-epoch history
+only, so they read the same whether pytest-benchmark runs or is disabled.
 """
 
 from repro.analysis import ascii_plot
@@ -23,9 +25,6 @@ def test_regression_tracking(benchmark, artifact, tmp_path_factory):
     )
     loop.run(epochs=10)
 
-    # the benchmarkable unit: one more epoch of the loop
-    benchmark.pedantic(loop.run_epoch, rounds=2, iterations=1)
-
     events = loop.regressions()
     bw_events = [e for e in events if "triad_bw" in e.metric]
     assert bw_events, "injected DIMM failure must be detected"
@@ -43,6 +42,9 @@ def test_regression_tracking(benchmark, artifact, tmp_path_factory):
         "triad bandwidth history (injected failure at epoch 5, repair at 8):",
         ascii_plot(xs, ys, width=48, height=10),
     ]))
+
+    # the benchmarkable unit: one more epoch of the loop
+    benchmark.pedantic(loop.run_epoch, rounds=2, iterations=1)
 
 
 def test_clean_history_stays_clean(tmp_path_factory):

@@ -46,7 +46,7 @@ from .driver import benchpark_setup, workspace_config
 __all__ = ["ContinuousBenchmarking"]
 
 #: journal schema version, bumped on incompatible layout changes
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 #: the campaign journal's file name inside the workdir
 JOURNAL = "campaign.jsonl"
 
@@ -98,9 +98,10 @@ class ContinuousBenchmarking:
         #: inputs (experiment, effective system state, epoch index) finger-
         #: print to a previously *clean* run replays that run's results
         #: instead of re-executing.  Pass a shared ContentStore to let a
-        #: re-run campaign reuse an earlier campaign's work; the journal
-        #: keeps every entry the campaign has seen, so a resumed campaign
-        #: replays from them even with a fresh store.
+        #: re-run campaign reuse an earlier campaign's work.  The journal
+        #: keeps only the entries this campaign ingested, so a campaign
+        #: resumed with a fresh store replays the epochs it journaled and
+        #: runs any later epoch cold.
         self.result_cache = (
             result_cache if result_cache is not None
             else ContentStore("epoch-results")
@@ -110,8 +111,6 @@ class ContinuousBenchmarking:
         self.session = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
-        #: keys of the result-cache entries the journal already holds
-        self._journaled: set = set()
         #: bytes of the journal's complete lines; None until there is a
         #: journal to append to
         self._journal_bytes: Optional[int] = None
@@ -154,10 +153,10 @@ class ContinuousBenchmarking:
         """The campaign journal: a header line, then one line per epoch."""
         return self.workdir / JOURNAL
 
-    def _append(self, line: Dict[str, Any]) -> None:
-        """Append one epoch's line — the only write the campaign state
-        gets, so its cost does not grow with the history."""
-        data = (json.dumps(line, separators=(",", ":")) + "\n").encode()
+    def _append(self, line: str) -> None:
+        """Append one epoch's encoded line — the only write the campaign
+        state gets, so its cost does not grow with the history."""
+        data = (line + "\n").encode()
         mode = "ab"
         if self._journal_bytes is None:  # a new journal: header first
             self.workdir.mkdir(parents=True, exist_ok=True)
@@ -261,28 +260,21 @@ class ContinuousBenchmarking:
         })
 
     def _ingest(self, line: Dict[str, Any]) -> int:
-        """Fold one epoch's journal line into the campaign — its cache
-        entries, attempt history and epoch-tagged records — and return
+        """Fold one epoch's journal line into the campaign — its results,
+        cache entry, attempt history and epoch-tagged records — and return
         the FOMs recorded.  A live epoch and a resumed journal line both
         come through here, so a resumed campaign equals the live one by
         construction."""
         epoch = self.epochs_run
-        self.result_cache.restore(line["entries"])
-        self._journaled.update(line["entries"])
+        results, meta = line["results"], line.get("attempts", {})
+        key, origin, tags = line.get("key"), epoch, {}
         if "replayed" in line:
-            key = line["replayed"]
-            entry = self.result_cache.peek(key)
-            results, meta = entry["results"], {}
+            key, origin = line["key"], line["replayed"]
             tags = {"cached": "true", "cache_provenance": (
-                f"replayed clean epoch {entry['epoch']} (fingerprint {key})")}
-        else:
-            results, meta, tags = line["results"], line["attempts"], {}
-            key = line.get("key")
-            if key is not None:  # a clean epoch, cached as its own results
-                if key not in self.result_cache:  # resuming
-                    self.result_cache.restore(
-                        {key: {"results": results, "epoch": epoch}})
-                self._journaled.add(key)
+                f"replayed clean epoch {origin} (fingerprint {key})")}
+        if key is not None and key not in self.result_cache:  # resuming
+            self.result_cache.restore(
+                {key: {"results": results, "epoch": origin}})
         if meta:
             self.attempt_history[str(epoch)] = meta
         # Tag every record with its epoch for the time axis, plus the
@@ -304,12 +296,19 @@ class ContinuousBenchmarking:
         self.epochs_run += 1
         return count
 
-    def _commit(self, line: Dict[str, Any]) -> int:
-        """Ingest a live epoch's line, then append it to the journal."""
+    def _commit(self, line: Dict[str, Any], entry: Dict[str, Any]) -> int:
+        """Ingest a live epoch's line with ``entry``'s results, then append
+        it to the journal.  The results are JSON-encoded once per cache
+        entry — at its cold commit, or at its first replay in this process
+        — and the text is kept on the entry for every later replay."""
         stats = self.result_cache.stats()
         line["stats"] = {k: stats[k] for k in ("hits", "misses", "puts")}
-        count = self._ingest(line)
-        self._append(line)
+        count = self._ingest(dict(line, results=entry["results"]))
+        if "results_json" not in entry:
+            entry["results_json"] = json.dumps(entry["results"],
+                                               separators=(",", ":"))
+        rest = json.dumps(line, separators=(",", ":"))
+        self._append('{"results":' + entry["results_json"] + "," + rest[1:])
         return count
 
     def run_epoch(self) -> int:
@@ -317,23 +316,19 @@ class ContinuousBenchmarking:
 
         The epoch's inputs are fingerprinted first; if an identical epoch
         already ran cleanly — e.g. this campaign was re-run with a shared
-        or journal-restored ``result_cache`` — its results are replayed
-        instead of re-executing the benchmarks.  Flaky or faulted epochs
-        are never cached, so a replay always stands for a deterministic,
-        converged run.
+        ``result_cache`` — its results are replayed instead of re-executing
+        the benchmarks, and its journal line carries them.  Flaky or
+        faulted epochs are never cached, so a replay always stands for a
+        deterministic, converged run.
         """
         epoch = self.epochs_run
         system = self.schedule.system_at(self.base_system, epoch)
         key = self._epoch_key(system, epoch)
-        # the journal keeps every cache entry the campaign has seen: the
-        # whole store on its first line, then what the store gained since
-        line: Dict[str, Any] = {"entries": {
-            k: v for k, v in self.result_cache.items()
-            if k not in self._journaled}}
-        if self.result_cache.get(key) is not None:
-            line["replayed"] = key
+        entry = self.result_cache.get(key)
+        if entry is not None:
             with self.session.region("epoch:replay"):
-                return self._commit(line)
+                return self._commit(
+                    {"key": key, "replayed": entry["epoch"]}, entry)
         # set the campaign workspace up only when its inputs changed (or on
         # this process's first cold epoch); else run its experiments again
         setup_key = self._setup_key()
@@ -365,14 +360,15 @@ class ContinuousBenchmarking:
                     "total_backoff_s": float(o.get("total_backoff_s", 0.0)),
                     "state": state,
                 }
-        line.update(results=results, attempts=meta)
+        line: Dict[str, Any] = {"attempts": meta}
+        entry = {"results": results, "epoch": epoch}
         # only a clean epoch — every run converged on its first attempt
         # with no fault — is safe to serve from the cache later
         if not meta and all(
                 int(o.get("returncode", 0) or 0) == 0 for o in outcomes):
-            self.result_cache.put(key, {"results": results, "epoch": epoch})
+            self.result_cache.put(key, entry)
             line["key"] = key
-        return self._commit(line)
+        return self._commit(line, entry)
 
     def run(self, epochs: int) -> "ContinuousBenchmarking":
         """Run ``epochs`` *additional* epochs."""

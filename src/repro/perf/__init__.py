@@ -5,7 +5,8 @@ Two primitives shared by every layer of the reproduction:
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
 * :class:`ContentStore` — a content-addressed cache with hit/miss
-  statistics that a campaign journal persists and restores.
+  statistics; a campaign journal persists the entries its own epochs
+  ingested, each on that epoch's line, and restores them.
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
 critical-path-charged DAG installs (:mod:`repro.spack.installer`), cached

@@ -6,10 +6,10 @@ reuse, epoch-level result replay) shares this one primitive: a map from
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
 The store lives in memory.  A campaign journal is the one place a result
-cache is persisted: each epoch's line carries the entries the store gained
-since the campaign's previous line and its cumulative counters, and
-:meth:`restore` folds them back in on resume — a resumed campaign reports
-lifetime hit rates, not per-resume ones.
+cache is persisted: each epoch's line carries the results that epoch
+ingested, with its cache key when they are cacheable, and the store's
+cumulative counters; :meth:`restore` folds them back in on resume — a
+resumed campaign reports lifetime hit rates, not per-resume ones.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ class ContentStore:
         }
 
     # -- journal integration ---------------------------------------------
-    def items(self):
-        """``(key, value)`` pairs in insertion order, without touching the
-        statistics."""
-        return self._entries.items()
-
     def restore(self, entries: Dict[str, Any],
                 stats: Optional[Dict[str, int]] = None) -> "ContentStore":
         """Merge journaled ``entries`` without counting them as puts, and

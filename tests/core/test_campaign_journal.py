@@ -96,15 +96,18 @@ class TestTornAppend:
 class TestJournal:
     def test_corrupt_middle_line_rejected(self, runs, tmp_path):
         lines = _lines(runs["cold"][0])
-        lines[2] = b'{"entries": \n'
+        lines[2] = b'{"results": \n'
         (tmp_path / "campaign.jsonl").write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match=r"corrupt.*resume=False"):
             _campaign(tmp_path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         (tmp_path / "campaign.jsonl").write_text(json.dumps(
-            {"version": 1, "experiment": EXPERIMENT, "system": SYSTEM}) + "\n")
-        with pytest.raises(ValueError, match="has version 1; expected 2"):
+            {"version": version, "experiment": EXPERIMENT,
+             "system": SYSTEM}) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"has version {version}; expected 3"):
             ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path)
 
     def test_resume_false_starts_a_fresh_journal(self, runs, tmp_path):
@@ -131,3 +134,23 @@ class TestJournal:
         sizes = [len(line) for line in _lines(loop)[1:]]  # after the header
         assert len(sizes) == 12
         assert max(sizes) <= 1.1 * min(sizes)
+
+    def test_journal_holds_only_its_own_entries(self, tmp_path):
+        """A warm campaign's journal carries the results its own epochs
+        replayed, not the other campaigns' entries in the shared store."""
+        shared = ContentStore("epoch-results")
+        cold = [ContinuousBenchmarking(
+            "stream/openmp", system, tmp_path / f"cold-{system}",
+            result_cache=shared).run(3) for system in ("cts1", "ats4")]
+        warm = ContinuousBenchmarking(
+            "stream/openmp", "cts1", tmp_path / "warm",
+            result_cache=shared).run(3)
+        assert warm.session.regions()["epoch:replay"].visits == 3
+
+        lines = [json.loads(line) for line in _lines(warm)[1:]]
+        assert not any("entries" in line for line in lines)
+        own = {warm._epoch_key(warm.schedule.system_at(warm.base_system, e),
+                               e) for e in range(3)}
+        assert {line["key"] for line in lines} <= own
+        size = warm.checkpoint_path.stat().st_size
+        assert size <= 1.1 * cold[0].checkpoint_path.stat().st_size

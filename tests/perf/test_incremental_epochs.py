@@ -63,9 +63,10 @@ class TestWarmCampaign:
             assert rec.manifest["cached"] == "true"
             assert "replayed clean epoch" in rec.manifest["cache_provenance"]
         # the tags go on the records, never on the cached results
-        for _, entry in shared.items():
-            for exp in entry["results"]["experiments"]:
-                assert not {"epoch", "cached"} & set(exp["variables"])
+        system = warm.schedule.system_at(warm.base_system, 0)
+        entry = shared.peek(warm._epoch_key(system, 0))
+        for exp in entry["results"]["experiments"]:
+            assert not {"epoch", "cached"} & set(exp["variables"])
 
     def test_warm_campaign_reproduces_detected_regression(self, tmp_path):
         """A degradation found cold is found identically warm — the replay
@@ -160,10 +161,31 @@ class TestCheckpointCumulativeStats:
         ContinuousBenchmarking(
             EXPERIMENT, SYSTEM, tmp_path / "warm", result_cache=shared,
         ).run(2)
-        # ...resumes from its checkpoint with a fresh default store and
-        # still replays the remaining epochs from the restored entries
-        resumed = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "warm")
+        # ...resumes from its journal with the shared store passed in and
+        # keeps replaying the remaining epochs from it
+        resumed = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "warm",
+                                         result_cache=shared)
         resumed.run_until(5)
-        stats = resumed.result_cache.stats()
-        assert stats["hits"] == 5  # 2 before the kill + 3 after
-        assert resumed.session.regions()["epoch:replay"].visits == 3
+        regions = resumed.session.regions()
+        assert regions["epoch:replay"].visits == 3
+        assert "epoch:run" not in regions
+
+    def test_fresh_store_resume_replays_only_its_journal(self, tmp_path):
+        """The journal holds the entries its own epochs ingested, and no
+        other: resumed with a fresh store, a warm campaign restores exactly
+        the epochs it journaled and runs every later epoch cold."""
+        shared = ContentStore("epoch-results")
+        ContinuousBenchmarking(
+            EXPERIMENT, SYSTEM, tmp_path / "cold", result_cache=shared,
+        ).run(5)
+        live = ContinuousBenchmarking(
+            EXPERIMENT, SYSTEM, tmp_path / "warm", result_cache=shared,
+        ).run(2)  # killed after 2 of 5 epochs
+
+        resumed = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "warm")
+        assert resumed.db.to_records() == live.db.to_records()
+        assert len(resumed.result_cache) == 2
+        resumed.run_until(5)
+        regions = resumed.session.regions()
+        assert regions["epoch:run"].visits == 3
+        assert "epoch:replay" not in regions

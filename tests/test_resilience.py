@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.regression import RegressionDetector
 from repro.ci.metricsdb import MetricsDatabase
-from repro.core.continuous import ContinuousBenchmarking
+from repro.core.continuous import JOURNAL_VERSION, ContinuousBenchmarking
 from repro.resilience import (
     AttemptTimeout,
     CircuitBreaker,
@@ -427,7 +427,8 @@ class TestFaultTolerantCampaign:
         loop.run_epoch()
         lines = loop.checkpoint_path.read_text().splitlines()
         assert json.loads(lines[0]) == {
-            "version": 2, "experiment": "stream/openmp", "system": "cts1"}
+            "version": JOURNAL_VERSION, "experiment": "stream/openmp",
+            "system": "cts1"}
         assert len(lines) == 2
         assert json.loads(lines[1])["results"]["experiments"]
         loop.run_epoch()  # one more line per epoch, the earlier ones kept
@@ -485,7 +486,8 @@ class TestFaultTolerantCampaign:
         with pytest.raises(ValueError, match="checkpoint"):
             ContinuousBenchmarking("saxpy/openmp", "cts1", tmp_path)
 
-    HEADER = {"version": 2, "experiment": "stream/openmp", "system": "cts1"}
+    HEADER = {"version": JOURNAL_VERSION, "experiment": "stream/openmp",
+              "system": "cts1"}
 
     @pytest.mark.parametrize("lines", [
         [[]],  # the header is not an object
