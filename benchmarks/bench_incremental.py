@@ -18,7 +18,9 @@ numbers to ``BENCH_incremental.json``:
    pass a foreign campaign (the same experiment on ``FOREIGN_SYSTEM``)
    runs cold into the shared cache; a journal holds only what its own
    epochs ingested, so the warm journal may be at most
-   ``JOURNAL_SHARE_MAX`` times the size of the cold one.
+   ``JOURNAL_SHARE_MAX`` times the size of the cold one.  Reopening the
+   warm campaign with the shared cache must make no lookup or put in it,
+   and the reopened campaign's report must equal the live one's.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
    post-order; the simulated makespan must be the DAG's critical path,
    strictly below the serial sum of build times.
@@ -31,7 +33,7 @@ Run directly (not under pytest)::
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
 gate (timings on loaded CI runners are noisy); the hit-rate, flatness,
-set-up and journal-share gates always apply.
+set-up, journal-share and resume gates always apply.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ def bench_warm_campaign(epochs: int) -> dict:
     after = shared.stats()
     warm_hits = after["hits"] - before["hits"]
     warm_lookups = after["lookups"] - before["lookups"]
+    reopened = ContinuousBenchmarking(
+        EXPERIMENT, SYSTEM, base / "warm", result_cache=shared,
+    )
+    resumed = shared.stats()
 
     t0 = time.perf_counter()
     baseline = ContinuousBenchmarking(
@@ -142,6 +148,9 @@ def bench_warm_campaign(epochs: int) -> dict:
         "journal_share": (warm.checkpoint_path.stat().st_size
                           / cold.checkpoint_path.stat().st_size),
         "setup_visits": cold_profile.regions()["epoch:setup"].visits,
+        "resume_store_delta": {k: resumed[k] - after[k]
+                               for k in ("hits", "misses", "puts")},
+        "resume_report_identical": reopened.report() == warm.report(),
         "caliper_warm": warm_profile.root.to_dict(),
         "_baseline_obj_records": len(baseline.db),
         "_profiles": (cold_profile, warm_profile),
@@ -250,6 +259,14 @@ def main(argv=None) -> int:
             f"cold campaign set its workspace up {campaign['setup_visits']} "
             f"times in {campaign['epochs']} epochs > {SETUP_VISITS_MAX}"
         )
+    if any(campaign["resume_store_delta"].values()):
+        failures.append(
+            f"reopening the warm campaign moved the shared cache's counters "
+            f"by {campaign['resume_store_delta']}"
+        )
+    if not campaign["resume_report_identical"]:
+        failures.append("reopened warm campaign's report differs from the "
+                        "live one's")
     if not args.quick and campaign["speedup_vs_baseline"] < args.min_speedup:
         failures.append(
             f"warm speedup {campaign['speedup_vs_baseline']:.1f}x < "

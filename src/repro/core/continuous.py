@@ -94,6 +94,9 @@ class ContinuousBenchmarking:
             self.breakers = CircuitBreakerRegistry()
         self.db = MetricsDatabase()
         self.epochs_run = 0
+        #: epochs served from the result cache, counted from the lines this
+        #: campaign ingested, live or resumed
+        self.epochs_replayed = 0
         #: content-addressed reuse of prior epoch results: an epoch whose
         #: inputs (experiment, effective system state, epoch index) finger-
         #: print to a previously *clean* run replays that run's results
@@ -200,17 +203,11 @@ class ContinuousBenchmarking:
                 f"{header.get('experiment')} on {header.get('system')}, "
                 f"not {self.experiment} on {self.system_name}"
             )
-        stats: Dict[str, int] = {}
         try:
             for raw_line in lines[1:]:
-                line = json.loads(raw_line)
-                self._ingest(line)
-                stats = line["stats"]
+                self._ingest(json.loads(raw_line))
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise _corrupt(self.checkpoint_path, e) from e
-        # the last line's counters are the store's lifetime totals, so a
-        # resumed campaign reports *cumulative* rates
-        self.result_cache.restore({}, stats)
         self._journal_bytes = end
 
     # ------------------------------------------------------------------
@@ -272,9 +269,9 @@ class ContinuousBenchmarking:
             key, origin = line["key"], line["replayed"]
             tags = {"cached": "true", "cache_provenance": (
                 f"replayed clean epoch {origin} (fingerprint {key})")}
+            self.epochs_replayed += 1
         if key is not None and key not in self.result_cache:  # resuming
-            self.result_cache.restore(
-                {key: {"results": results, "epoch": origin}})
+            self.result_cache.put(key, {"results": results, "epoch": origin})
         if meta:
             self.attempt_history[str(epoch)] = meta
         # Tag every record with its epoch for the time axis, plus the
@@ -301,8 +298,6 @@ class ContinuousBenchmarking:
         it to the journal.  The results are JSON-encoded once per cache
         entry — at its cold commit, or at its first replay in this process
         — and the text is kept on the entry for every later replay."""
-        stats = self.result_cache.stats()
-        line["stats"] = {k: stats[k] for k in ("hits", "misses", "puts")}
         count = self._ingest(dict(line, results=entry["results"]))
         if "results_json" not in entry:
             entry["results_json"] = json.dumps(entry["results"],
@@ -417,12 +412,11 @@ class ContinuousBenchmarking:
             f"continuous benchmarking: {self.experiment} on {self.system_name}",
             f"epochs run: {self.epochs_run}, records: {len(self.db)}",
         ]
-        stats = self.result_cache.stats()
-        if stats["lookups"]:
+        if self.epochs_run:  # every epoch makes one cache lookup
             lines.append(
-                f"epoch result cache: {stats['hits']}/{stats['lookups']} "
-                f"hit(s) ({stats['hit_rate']:.0%} cumulative), "
-                f"{stats['entries']} cached epoch(s)"
+                f"epoch result cache: {self.epochs_replayed}/{self.epochs_run}"
+                f" hit(s) ({self.epochs_replayed / self.epochs_run:.0%} "
+                f"cumulative), {len(self.result_cache)} cached epoch(s)"
             )
         if self.attempt_history:
             retried = sum(len(v) for v in self.attempt_history.values())

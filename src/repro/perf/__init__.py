@@ -5,8 +5,9 @@ Two primitives shared by every layer of the reproduction:
 * :func:`fingerprint` — canonical content hashing of pipeline inputs
   (specs, configs, recipes, experiment definitions);
 * :class:`ContentStore` — a content-addressed cache with hit/miss
-  statistics; a campaign journal persists the entries its own epochs
-  ingested, each on that epoch's line, and restores them.
+  statistics for one process life; a campaign journal persists the
+  entries its own epochs ingested, each on that epoch's line, and puts
+  them back on resume.
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
 critical-path-charged DAG installs (:mod:`repro.spack.installer`), cached

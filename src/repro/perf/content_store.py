@@ -5,20 +5,18 @@ reuse, epoch-level result replay) shares this one primitive: a map from
 :func:`repro.perf.fingerprint` digests to previously computed results, with
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 
-The store lives in memory.  A campaign journal is the one place a result
-cache is persisted: each epoch's line carries the results that epoch
-ingested, with its cache key when they are cacheable, and the store's
-cumulative counters; :meth:`restore` folds them back in on resume — a
-resumed campaign reports lifetime hit rates, not per-resume ones.
+The store lives in memory, and its counters cover this process only.  A
+campaign journal is the one place a result cache is persisted: each epoch's
+line carries the results that epoch ingested, with its cache key when they
+are cacheable, and a resumed campaign puts them back.  The campaign counts
+its replays from its own lines; the store knows nothing of journals.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["ContentStore"]
-
-_STAT_KEYS = ("hits", "misses", "puts")
 
 
 class ContentStore:
@@ -30,8 +28,6 @@ class ContentStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        #: counters carried over from a prior life (journal resume)
-        self._baseline = {k: 0 for k in _STAT_KEYS}
 
     # -- core map interface -------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -58,38 +54,23 @@ class ContentStore:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries and reset all counters (including baseline)."""
+        """Drop all entries and reset all counters."""
         self._entries.clear()
         self.hits = self.misses = self.puts = 0
-        self._baseline = {k: 0 for k in _STAT_KEYS}
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Cumulative statistics (baseline from any restored snapshot plus
-        this life's counters)."""
-        hits = self.hits + self._baseline["hits"]
-        misses = self.misses + self._baseline["misses"]
-        lookups = hits + misses
+        """This process's counters, since creation or the last clear."""
+        lookups = self.hits + self.misses
         return {
             "name": self.name,
             "entries": len(self._entries),
-            "hits": hits,
-            "misses": misses,
-            "puts": self.puts + self._baseline["puts"],
+            "hits": self.hits,
+            "misses": self.misses,
+            "puts": self.puts,
             "lookups": lookups,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
+            "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
-
-    # -- journal integration ---------------------------------------------
-    def restore(self, entries: Dict[str, Any],
-                stats: Optional[Dict[str, int]] = None) -> "ContentStore":
-        """Merge journaled ``entries`` without counting them as puts, and
-        add ``stats`` (a prior life's cumulative counters) to the baseline,
-        so :meth:`stats` reports lifetime totals across restarts."""
-        self._entries.update(entries)
-        for k in _STAT_KEYS:
-            self._baseline[k] += int((stats or {}).get(k, 0))
-        return self
 
     def __repr__(self):
         s = self.stats()

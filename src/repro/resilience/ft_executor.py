@@ -48,9 +48,6 @@ class FaultTolerantExecutor:
         self.policy = policy or RetryPolicy()
         self.breakers = breakers
         self.runner_tag = runner_tag
-        #: per-experiment attempt logs, keyed by experiment name — one
-        #: campaign-side view of how flaky each run was.
-        self.attempt_log: Dict[str, Dict[str, Any]] = {}
 
     # -- context the inner executor carries --------------------------------
     @property
@@ -71,7 +68,7 @@ class FaultTolerantExecutor:
     def execute(self, experiment) -> Dict[str, Any]:
         breaker = self._breaker()
         if breaker is not None and not breaker.allow():
-            result = {
+            return {
                 "returncode": EX_TEMPFAIL,
                 "stdout": (f"ERROR: circuit breaker open for "
                            f"{self.system_name}/{self.runner_tag}; "
@@ -83,8 +80,6 @@ class FaultTolerantExecutor:
                 "flaky": False,
                 "state": "refused",
             }
-            self.attempt_log[experiment.name] = result
-            return result
 
         def one_attempt(attempt: int) -> Dict[str, Any]:
             if self.injector is not None:
@@ -104,7 +99,7 @@ class FaultTolerantExecutor:
         except RetryExhausted as exc:
             if breaker is not None:
                 breaker.record_failure()
-            result = {
+            return {
                 "returncode": EX_TEMPFAIL,
                 "stdout": f"ERROR: {exc}\n",
                 "seconds": 0.0,
@@ -112,8 +107,6 @@ class FaultTolerantExecutor:
                 **exc.log.to_dict(),
                 "flaky": True,
             }
-            self.attempt_log[experiment.name] = result
-            return result
 
         if breaker is not None:
             if result.get("returncode", 0) == 0:
@@ -129,5 +122,4 @@ class FaultTolerantExecutor:
         result.update(log.to_dict())
         result["flaky"] = log.flaky
         result.setdefault("state", "completed")
-        self.attempt_log[experiment.name] = result
         return result

@@ -3,11 +3,15 @@ same ingest path a live epoch takes.
 
 A campaign killed at any instant — even mid-append — must resume to the
 state the uninterrupted run had after its last complete line, and the next
-epoch must leave a journal that resumes past it.
+epoch must leave a journal that resumes past it.  Killed between epochs and
+resumed to the end, it must reach the uninterrupted run's state, and count
+as replays exactly the replayed lines of its own journal.
 """
 
+import itertools
 import json
 import shutil
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,17 +24,22 @@ from repro.systems.failures import Degradation, FailureSchedule
 EXPERIMENT = "saxpy/openmp"
 SYSTEM = "cts1"
 EPOCHS = 5
+#: the longest campaign the kill/resume differential test draws, and its
+#: fault rate: low enough that most of its epochs are clean and replayable
+MAX_EPOCHS = 6
+KILL_FAULT_RATE = 0.03
 
 
-def _campaign(workdir, **kwargs):
+def _campaign(workdir, fault_rate=0.2, **kwargs):
     """Faults on epochs 0-3 (salted, so every run sees the same ones) and a
-    bandwidth drop from epoch 2: the history holds retries and events."""
+    bandwidth drop from epoch 2: the history holds retries and events.  At
+    ``fault_rate=0.03`` epochs 1, 3, 4 and 5 are clean, the others flaky."""
     return ContinuousBenchmarking(
         EXPERIMENT, SYSTEM, workdir,
         schedule=FailureSchedule(
             [(2, Degradation("bad-dimm", memory_bw_factor=0.5))]),
         injector=TransientFaultInjector(
-            {FaultKind.NODE_FAILURE: 0.2}, salt="journal-c"),
+            {FaultKind.NODE_FAILURE: fault_rate}, salt="journal-c"),
         retry_policy=RetryPolicy(max_attempts=6, jitter=0.0),
         **kwargs,
     )
@@ -93,7 +102,88 @@ class TestTornAppend:
         shutil.rmtree(workdir)
 
 
+@pytest.fixture(scope="module")
+def cold_journal(tmp_path_factory):
+    """The journal of a cold MAX_EPOCHS-epoch campaign: its clean epochs
+    are what a warm campaign replays."""
+    return _campaign(tmp_path_factory.mktemp("prior"),
+                     KILL_FAULT_RATE).run(MAX_EPOCHS).checkpoint_path
+
+
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    """Pin the saxpy kernel's timer to a fixed step per reading, so an
+    epoch that runs again measures what the uninterrupted run measured."""
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        "repro.benchmarks.saxpy.time",
+        types.SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
+
+
+def _store(journal, epochs, workdir):
+    """A store holding the cold campaign's clean entries for its first
+    ``epochs`` epochs, put back by resuming a copy of its journal."""
+    lines = journal.read_bytes().splitlines(keepends=True)
+    workdir.mkdir()
+    (workdir / "campaign.jsonl").write_bytes(b"".join(lines[:epochs + 1]))
+    return _campaign(workdir, KILL_FAULT_RATE).result_cache
+
+
+def _view(loop):
+    """The report and the records, with the campaign's own workdir masked
+    out of the records' manifests."""
+    records = json.dumps(loop.db.to_records())
+    return loop.report(), records.replace(f"{loop.workdir}/", "<workdir>/")
+
+
+class TestKillResume:
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_killed_campaign_resumes_to_the_uninterrupted_run(
+            self, cold_journal, fixed_clock, tmp_path_factory, data):
+        epochs = data.draw(st.integers(1, MAX_EPOCHS), label="epochs")
+        kill = data.draw(st.integers(0, epochs), label="kill after")
+        warm = data.draw(st.booleans(), label="warm")
+        shared_resume = data.draw(st.booleans(), label="resume with shared")
+        root = tmp_path_factory.mktemp("kill")
+        shared = _store(cold_journal, epochs if warm else 0, root / "prior")
+        _campaign(root / "run", KILL_FAULT_RATE, result_cache=shared).run(kill)
+
+        before = shared.stats()
+        resumed = _campaign(root / "run", KILL_FAULT_RATE,
+                            result_cache=shared if shared_resume else None)
+        assert shared.stats() == before  # opening makes no lookup or put
+        resumed.run_until(epochs)
+
+        # the uninterrupted run sees what the resumed one can replay: the
+        # shared store's entries, or only those its journal carries
+        seen = 0 if not warm else epochs if shared_resume else kill
+        uninterrupted = _campaign(
+            root / "uninterrupted", KILL_FAULT_RATE,
+            result_cache=_store(cold_journal, seen, root / "seen"),
+        ).run(epochs)
+        assert _view(resumed) == _view(uninterrupted)
+        replayed = sum(b'"replayed":' in line for line in _lines(resumed))
+        assert f"epoch result cache: {replayed}/{epochs} hit(s)" in (
+            resumed.report())
+        shutil.rmtree(root)
+
+
 class TestJournal:
+    def test_old_stats_fields_are_ignored(self, runs, tmp_path):
+        """Epoch lines written before the store's counters left the journal
+        carry a ``stats`` field; a resume ignores it."""
+        loop, _ = runs["warm"]
+        header, *lines = _lines(loop)
+        old = [json.dumps(dict(json.loads(line), stats={
+            "hits": 7, "misses": 7, "puts": 7})).encode() + b"\n"
+            for line in lines]
+        (tmp_path / "campaign.jsonl").write_bytes(header + b"".join(old))
+        resumed = _campaign(tmp_path)
+        assert _state(resumed) == _state(loop)
+        assert resumed.report() == loop.report()
+
     def test_corrupt_middle_line_rejected(self, runs, tmp_path):
         lines = _lines(runs["cold"][0])
         lines[2] = b'{"results": \n'
