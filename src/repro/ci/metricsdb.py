@@ -79,21 +79,16 @@ class MetricsDatabase:
 
     def ingest_analysis(self, system: str, analysis: Dict[str, Any]) -> int:
         """Load a Ramble ``results.latest.json`` payload; returns the number
-        of FOM records stored."""
-        count = 0
+        of FOM records stored.  An experiment's records share one copy of
+        its variables as their manifest."""
+        before = len(self._records)
         for exp in analysis.get("experiments", []):
+            manifest = dict(exp.get("variables", {}))
             for fom in exp.get("figures_of_merit", []):
-                self.record(
-                    benchmark=exp["application"],
-                    system=system,
-                    experiment=exp["name"],
-                    fom_name=fom["name"],
-                    value=fom["value"],
-                    units=fom.get("units", ""),
-                    manifest=exp.get("variables", {}),
-                )
-                count += 1
-        return count
+                self._insert(MetricRecord(
+                    next(self._seq), exp["application"], system, exp["name"],
+                    fom["name"], fom["value"], fom.get("units", ""), manifest))
+        return len(self._records) - before
 
     # -- queries -----------------------------------------------------------
     @staticmethod

@@ -98,9 +98,9 @@ class ContinuousBenchmarking:
         #: campaign ingested, live or resumed
         self.epochs_replayed = 0
         #: content-addressed reuse of prior epoch results: an epoch whose
-        #: inputs (experiment, effective system state, epoch index) finger-
-        #: print to a previously *clean* run replays that run's results
-        #: instead of re-executing.  Pass a shared ContentStore to let a
+        #: inputs (experiment, effective system state, setup fingerprint,
+        #: epoch index) fingerprint to a previously *clean* run replays
+        #: that run's results instead of re-executing.  Pass a shared ContentStore to let a
         #: re-run campaign reuse an earlier campaign's work.  The journal
         #: keeps only the entries this campaign ingested, so a campaign
         #: resumed with a fresh store replays the epochs it journaled and
@@ -218,16 +218,18 @@ class ContinuousBenchmarking:
             runner_tag="continuous",
         )
 
-    def _epoch_key(self, system, epoch: int) -> str:
+    def _epoch_key(self, system, epoch: int, setup: str) -> str:
         """Fingerprint of everything that determines an epoch's results:
         the experiment, the *effective* system state at this epoch (the
-        failure schedule may have degraded it), and the epoch index itself
-        — executors salt their measurement noise per epoch, so epoch N and
-        epoch M of the same campaign legitimately differ and must never
-        alias."""
+        failure schedule may have degraded it), the setup fingerprint
+        ``setup`` of the workspace it runs against, and the epoch index
+        itself — executors salt their measurement noise per epoch, so epoch
+        N and epoch M of the same campaign legitimately differ and must
+        never alias."""
         return fingerprint({
             "experiment": self.experiment,
             "system": system.to_dict(),
+            "setup": setup,
             "epoch": epoch,
         })
 
@@ -318,7 +320,8 @@ class ContinuousBenchmarking:
         """
         epoch = self.epochs_run
         system = self.schedule.system_at(self.base_system, epoch)
-        key = self._epoch_key(system, epoch)
+        setup_key = self._setup_key()
+        key = self._epoch_key(system, epoch, setup_key)
         entry = self.result_cache.get(key)
         if entry is not None:
             with self.session.region("epoch:replay"):
@@ -326,7 +329,6 @@ class ContinuousBenchmarking:
                     {"key": key, "replayed": entry["epoch"]}, entry)
         # set the campaign workspace up only when its inputs changed (or on
         # this process's first cold epoch); else run its experiments again
-        setup_key = self._setup_key()
         if self._workspace is None or self._workspace[0] != setup_key:
             with self.session.region("epoch:setup"):
                 shutil.rmtree(self.workspace_dir, ignore_errors=True)

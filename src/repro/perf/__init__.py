@@ -2,8 +2,9 @@
 
 Two primitives shared by every layer of the reproduction:
 
-* :func:`fingerprint` — canonical content hashing of pipeline inputs
-  (specs, configs, recipes, experiment definitions);
+* :func:`fingerprint` — content hashing of pipeline inputs (specs,
+  configs, recipes, experiments) in one JSON encoder pass; mapping keys
+  are ``str`` and never start with ``__``;
 * :class:`ContentStore` — a content-addressed cache with hit/miss
   statistics for one process life; a campaign journal persists the
   entries its own epochs ingested, each on that epoch's line, and puts
@@ -17,11 +18,10 @@ CI jobs (:mod:`repro.ci.pipeline`), and epoch-level result reuse
 """
 
 from .content_store import ContentStore
-from .fingerprint import canonicalize, fingerprint, fingerprint_file, package_signature
+from .fingerprint import fingerprint, fingerprint_file, package_signature
 
 __all__ = [
     "ContentStore",
-    "canonicalize",
     "fingerprint",
     "fingerprint_file",
     "package_signature",

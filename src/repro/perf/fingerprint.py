@@ -8,18 +8,23 @@ be reduced to a stable hex digest, and two inputs with the same fingerprint
 are interchangeable.  Every cache in :mod:`repro.perf` keys on these digests
 (exaCB-style incremental evaluation; SCOPE keys results the same way).
 
-Canonicalization rules:
+A fingerprint hashes the text of one C JSON encoder pass with sorted keys,
+so dicts are order-insensitive and lists/tuples keep their order.  A value
+the encoder cannot write goes to ``_encode``, which returns a stand-in (a
+one-key dict whose key starts with ``__``) for the encoder to write:
 
-* mappings are order-insensitive (sorted by canonicalized key);
-* sets are sorted; lists/tuples preserve order;
-* ``Spec``-like objects (anything with ``to_node_dict``) hash their full
-  dependency DAG;
-* package classes (anything class-like with ``pkg_name``) hash their entire
-  recipe: versions, variants, dependencies, conflicts, provides, and the
-  class source — so editing a recipe invalidates everything built from it;
-* ``Path`` objects hash by *content* when they point at a file (a config
-  file's fingerprint changes iff its bytes do, not when it moves);
-* other objects fall back to ``to_dict()``/dataclass fields, then ``str``.
+* package classes (class-like with ``pkg_name``) → their entire recipe,
+  class source included, so editing a recipe invalidates everything built
+  from it;
+* ``Path`` → the file's *content* when it points at a file (moving a config
+  file keeps its fingerprint; editing its bytes changes it);
+* sets → their elements' encodings, sorted; ``bytes`` → their digest;
+* ``Spec``-like objects (``to_node_dict``) → their full dependency DAG;
+* other objects → ``to_dict()`` or dataclass fields, then ``str``.
+
+Input rule: every mapping key is a ``str`` that does not start with ``__``.
+The encoder writes other keys as text (``1`` and ``"1"`` collide), and a
+``__`` key could spell a stand-in.
 """
 
 from __future__ import annotations
@@ -29,11 +34,10 @@ import hashlib
 import inspect
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = [
     "fingerprint",
-    "canonicalize",
     "fingerprint_file",
     "package_signature",
 ]
@@ -59,7 +63,7 @@ def _is_package_class(obj: Any) -> bool:
 
 
 def package_signature(cls: type) -> dict:
-    """The full recipe of a package class as canonical data.
+    """The full recipe of a package class as JSON-encodable data.
 
     Covers everything the concretizer and installer read from a recipe:
     declared versions (with preferred/deprecated flags), variant definitions,
@@ -76,7 +80,7 @@ def package_signature(cls: type) -> dict:
         },
         "variants": {
             name: {
-                "default": canonicalize(vdef.default),
+                "default": vdef.default,
                 "values": list(vdef.values) if vdef.values is not None else None,
                 "multi": bool(vdef.multi),
             }
@@ -114,44 +118,38 @@ def package_signature(cls: type) -> dict:
     return sig
 
 
-def canonicalize(obj: Any) -> Any:
-    """Reduce ``obj`` to JSON-serializable canonical data (see module doc)."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+def _encode(obj: Any) -> Any:
+    """The stand-in the encoder writes for ``obj``, a value it cannot write
+    itself (see module doc)."""
     if isinstance(obj, (bytes, bytearray)):
         return {"__bytes__": hashlib.sha256(bytes(obj)).hexdigest()}
     if isinstance(obj, Path):
         return fingerprint_file(obj)
     if _is_package_class(obj):
         return {"__package__": package_signature(obj)}
-    if isinstance(obj, Mapping):
-        items = [
-            [canonicalize(k), canonicalize(v)] for k, v in obj.items()
-        ]
-        items.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-        return {"__map__": items}
     if isinstance(obj, (set, frozenset)):
-        vals = [canonicalize(v) for v in obj]
-        return {"__set__": sorted(vals, key=lambda v: json.dumps(v, sort_keys=True))}
-    if isinstance(obj, (list, tuple)):
-        return [canonicalize(v) for v in obj]
+        return {"__set__": sorted(_dumps(v) for v in obj)}
     # Spec-like: the node dict covers the full dependency DAG.
     to_node_dict = getattr(obj, "to_node_dict", None)
     if callable(to_node_dict):
         return {"__spec__": to_node_dict(deps=True)}
     to_dict = getattr(obj, "to_dict", None)
     if callable(to_dict):
-        return {"__obj__": canonicalize(to_dict())}
+        return {"__obj__": to_dict()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {"__obj__": canonicalize(dataclasses.asdict(obj))}
+        return {"__obj__": dataclasses.asdict(obj)}
     # Last resort: a stable string rendering (Version, CompilerSpec, enums).
     return {"__str__": f"{type(obj).__name__}:{obj}"}
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_encode)
+
+
 def fingerprint(obj: Any, length: int = DIGEST_LEN) -> str:
     """Stable content hash of any pipeline input (hex, ``length`` chars)."""
-    payload = json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
-    return _hash_text(payload)[:length]
+    return _hash_text(_dumps(obj))[:length]
 
 
 def fingerprint_file(path: Path | str, length: int = DIGEST_LEN) -> dict:

@@ -128,6 +128,7 @@ class SystemDescriptor:
             "memory_per_node_gb": self.memory_per_node_gb,
             "cpu_target": self.cpu_target,
             "scheduler": self.scheduler,
+            "noise": self.noise,
             "interconnect": {
                 "name": self.interconnect.name,
                 "latency_us": self.interconnect.latency_us,

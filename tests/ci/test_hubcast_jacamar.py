@@ -222,6 +222,16 @@ class TestMetricsDatabase:
             ]}]}
         assert db.ingest_analysis("cts1", analysis) == 2
         assert db.query(fom_name="bandwidth")[0].manifest["n"] == "512"
+        # one copy of the experiment's variables, shared by its records
+        first, second = db.query(experiment="saxpy_512")
+        assert first.manifest is second.manifest
+        assert first.manifest is not analysis["experiments"][0]["variables"]
+        assert db.to_records() == [
+            {"seq": seq, "benchmark": "saxpy", "system": "cts1",
+             "experiment": "saxpy_512", "fom_name": name, "value": value,
+             "units": units, "manifest": {"n": "512"}}
+            for seq, name, value, units in ((1, "bandwidth", 5.0, "GB/s"),
+                                            (2, "kernel_time", 0.001, "s"))]
 
     def test_dump_load_roundtrip(self):
         db = self._db()

@@ -240,7 +240,7 @@ class TestJournal:
         lines = [json.loads(line) for line in _lines(warm)[1:]]
         assert not any("entries" in line for line in lines)
         own = {warm._epoch_key(warm.schedule.system_at(warm.base_system, e),
-                               e) for e in range(3)}
+                               e, warm._setup_key()) for e in range(3)}
         assert {line["key"] for line in lines} <= own
         size = warm.checkpoint_path.stat().st_size
         assert size <= 1.1 * cold[0].checkpoint_path.stat().st_size

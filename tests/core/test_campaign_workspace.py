@@ -6,7 +6,8 @@ workspace up once and runs every cold epoch into ``epoch-N/`` against it.
   the oracle only), except the measured value and the two variables that
   name the shared script.
 * *Invalidation* — set-up runs again exactly when one of its inputs
-  changes, and the epoch after an edit runs against the edited input.
+  changes, and the epoch after an edit runs against the edited input, even
+  when a result cache shared with an unedited run holds that epoch.
 * *Resume* — a campaign resumed from its journal sets up again on its
   first cold epoch and then matches the uninterrupted run.
 """
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.continuous import ContinuousBenchmarking
 from repro.core.driver import benchpark_setup
+from repro.perf import ContentStore
 from repro.ramble import Workspace
 from repro.ramble.modifiers import Modifier
 from repro.spack import repository
@@ -47,6 +49,12 @@ def _records(campaign, root: Path, epoch=None) -> list:
     return [(r.experiment, r.fom_name, r.units, _normalized(r.manifest, root))
             for r in campaign.db.query()
             if epoch is None or r.manifest["epoch"] == str(epoch)]
+
+
+def _replayed(campaign) -> set:
+    """The epochs the campaign replayed from its result cache."""
+    return {int(r.manifest["epoch"]) for r in campaign.db.query()
+            if r.manifest.get("cached") == "true"}
 
 
 def _setup_visits(campaign) -> int:
@@ -184,16 +192,27 @@ class TestInvalidation:
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.sampled_from(sorted(EDITS)), min_size=1, max_size=3))
     def test_setup_reruns_exactly_when_an_input_changes(self, edits):
+        """The campaign shares a result cache with an unedited run of the
+        same epochs: the epochs before the first edit replay it, and every
+        later epoch runs cold against its edited inputs."""
+        first = next((n for n, edit in enumerate(edits, start=1)
+                      if edit != "none"), len(edits) + 1)
         with tempfile.TemporaryDirectory() as d, \
                 pytest.MonkeyPatch.context() as mp:
-            campaign = ContinuousBenchmarking(EXPERIMENT, SYSTEM, d)
+            shared = ContentStore("epoch-results")
+            ContinuousBenchmarking(EXPERIMENT, SYSTEM, Path(d) / "unedited",
+                                   result_cache=shared).run(1 + len(edits))
+            campaign = ContinuousBenchmarking(
+                EXPERIMENT, SYSTEM, Path(d) / "edited", result_cache=shared)
             campaign.run_epoch()
             for n, edit in enumerate(edits, start=1):
                 reflected = EDITS[edit](mp, n)
                 campaign.run_epoch()
-                assert reflected(campaign), f"epoch {n} ignored edit {edit!r}"
+                if n >= first:
+                    assert reflected(campaign), f"epoch {n} ignored {edit!r}"
+            assert _replayed(campaign) == set(range(first))
             changed = sum(edit != "none" for edit in edits)
-            assert _setup_visits(campaign) == 1 + changed
+            assert _setup_visits(campaign) == changed
 
     def test_resumed_campaign_sets_up_again_then_matches(self, tmp_path):
         ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "killed").run(2)

@@ -1,9 +1,19 @@
 """Tests for the content-addressing primitives: fingerprint and
-ContentStore."""
+ContentStore.
+
+The differential tests check the encoder against the canonical-tree walker
+it replaced (``fingerprint_oracle``): two inputs share a fingerprint exactly
+when the walker's canonical texts of them are equal.
+"""
+
+import dataclasses
+from pathlib import Path
+from typing import Any
+
+from hypothesis import given, settings, strategies as st
 
 from repro.perf import (
     ContentStore,
-    canonicalize,
     fingerprint,
     fingerprint_file,
     package_signature,
@@ -12,6 +22,8 @@ from repro.spack import Concretizer
 from repro.spack.concretizer import clear_concretization_memo
 from repro.spack.repository import builtin_repo
 
+from .fingerprint_oracle import canonical_text
+
 
 class TestFingerprint:
     def test_deterministic(self):
@@ -19,14 +31,18 @@ class TestFingerprint:
             assert fingerprint(obj) == fingerprint(obj)
 
     def test_distinct_inputs_distinct_digests(self):
-        digests = {fingerprint(o) for o in (1, "1", [1], {"a": 1}, {"a": 2})}
-        assert len(digests) == 5
+        digests = {fingerprint(o)
+                   for o in (1, "1", [1], {"a": 1}, {"a": 2}, Path("1"))}
+        assert len(digests) == 6
 
     def test_map_order_insensitive(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
     def test_set_order_insensitive_list_order_sensitive(self):
         assert fingerprint({3, 1, 2}) == fingerprint({1, 2, 3})
+        # 0 and 8 share a hash slot, so these sets iterate in opposite orders
+        assert list({0, 8}) != list({8, 0})
+        assert fingerprint({0, 8}) == fingerprint({8, 0})
         assert fingerprint([1, 2, 3]) != fingerprint([3, 2, 1])
 
     def test_length_parameter(self):
@@ -63,7 +79,101 @@ class TestFingerprint:
         assert "openmp" in sig["variants"]
         assert sig["versions"]
         assert sig["source"] is not None
-        assert canonicalize(cls) == {"__package__": sig}
+        assert fingerprint(cls) == fingerprint({"__package__": sig})
+        assert fingerprint(cls) != fingerprint(
+            builtin_repo().get_class("stream"))
+
+
+@dataclasses.dataclass
+class Pair:
+    first: Any
+    second: Any
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4) | st.binary(max_size=4)
+            | st.text("ab/", max_size=3).map(Path))
+#: what a set can hold: scalars, tuples and frozensets of them
+_HASHABLE = st.recursive(
+    _SCALARS, lambda inner: st.tuples(inner, inner)
+    | st.frozensets(inner, max_size=3), max_leaves=6)
+#: mapping keys obey the input rule: ``str``, no leading ``__``
+_KEYS = st.text(max_size=4).filter(lambda k: not k.startswith("__"))
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=3)
+    | st.sets(_HASHABLE, max_size=3)
+    | st.builds(Pair, inner, inner), max_leaves=12)
+
+
+def _rebuilt(value, leaf):
+    """``value`` with every container rebuilt and every leaf — a scalar,
+    set or frozenset, depth first — replaced by ``leaf(index, old)``."""
+    count = -1
+
+    def walk(v):
+        nonlocal count
+        if isinstance(v, dict):
+            return {k: walk(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return type(v)(walk(x) for x in v)
+        if isinstance(v, Pair):
+            return Pair(walk(v.first), walk(v.second))
+        count += 1
+        return leaf(count, v)
+
+    return walk(value)
+
+
+def _reordered(value, data):
+    """``value`` with the items of every dict and set inserted in a drawn
+    order."""
+    if isinstance(value, dict):
+        items = data.draw(st.permutations(list(value.items())))
+        return {k: _reordered(v, data) for k, v in items}
+    if isinstance(value, (set, frozenset)):
+        items = data.draw(st.permutations(list(value)))
+        return type(value)(_reordered(v, data) for v in items)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reordered(v, data) for v in value)
+    if isinstance(value, Pair):
+        return Pair(_reordered(value.first, data),
+                    _reordered(value.second, data))
+    return value
+
+
+def _agree(a, b) -> bool:
+    """Assert the encoder and the walker agree on whether ``a`` and ``b``
+    are the same input; return whether they are."""
+    same = canonical_text(a) == canonical_text(b)
+    assert (fingerprint(a) == fingerprint(b)) == same, (a, b)
+    return same
+
+
+class TestEncoderAgainstWalker:
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, _VALUES)
+    def test_independent_inputs(self, a, b):
+        _agree(a, b)
+        _agree(a, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALUES, st.data())
+    def test_reordered_dicts(self, a, data):
+        assert _agree(a, _reordered(a, data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, st.data())
+    def test_one_leaf_changed(self, a, data):
+        leaves = []
+        _rebuilt(a, lambda i, old: leaves.append(old))
+        if not leaves:
+            return
+        target = data.draw(st.integers(0, len(leaves) - 1))
+        # any scalar, or the old leaf's text (1 -> "1", Path("a") -> "a")
+        new = data.draw(_SCALARS | st.just(str(leaves[target])))
+        _agree(a, _rebuilt(a, lambda i, old: new if i == target else old))
 
 
 class TestContentStore:

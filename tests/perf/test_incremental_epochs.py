@@ -64,7 +64,7 @@ class TestWarmCampaign:
             assert "replayed clean epoch" in rec.manifest["cache_provenance"]
         # the tags go on the records, never on the cached results
         system = warm.schedule.system_at(warm.base_system, 0)
-        entry = shared.peek(warm._epoch_key(system, 0))
+        entry = shared.peek(warm._epoch_key(system, 0, warm._setup_key()))
         for exp in entry["results"]["experiments"]:
             assert not {"epoch", "cached"} & set(exp["variables"])
 
@@ -88,12 +88,31 @@ class TestWarmCampaign:
                 == [str(e) for e in warm.regressions()])
         assert shared.stats()["hits"] == 6
 
+    def test_noise_only_degradation_runs_cold(self, tmp_path):
+        """A degradation that only adds measurement noise still changes an
+        epoch's results, so a warm campaign replays the healthy epoch and
+        runs every noisy one cold."""
+        shared = ContentStore("epoch-results")
+        ContinuousBenchmarking(
+            "saxpy/openmp", SYSTEM, tmp_path / "cold", result_cache=shared,
+        ).run(3)
+        schedule = FailureSchedule(
+            [(1, Degradation("flaky-switch", extra_noise=0.3))])
+        noisy = ContinuousBenchmarking(
+            "saxpy/openmp", SYSTEM, tmp_path / "noisy", schedule=schedule,
+            result_cache=shared,
+        ).run(3)
+        replayed = {r.manifest["epoch"] for r in noisy.db.query()
+                    if r.manifest.get("cached") == "true"}
+        assert replayed == {"0"} and noisy.epochs_replayed == 1
+
     def test_epochs_never_alias(self, tmp_path):
         """Executor noise is epoch-salted, so epoch keys must differ per
         epoch — epoch 1 must not replay epoch 0's results."""
         loop = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path)
         system = loop.schedule.system_at(loop.base_system, 0)
-        keys = {loop._epoch_key(system, e) for e in range(5)}
+        setup = loop._setup_key()
+        keys = {loop._epoch_key(system, e, setup) for e in range(5)}
         assert len(keys) == 5
 
 
