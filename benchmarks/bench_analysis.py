@@ -1,19 +1,19 @@
 """Analysis-engine benchmark: cold per-epoch rescans vs. the warm
 incremental engine, over the same synthetic multi-epoch campaign.
 
-Per epoch the analysis stack answers three questions: which series
-regressed, how do the scaling series model, and what does the dashboard
-look like now.  The **cold** pass answers them from scratch — a one-shot
+Per epoch the analysis stack answers two questions: which series
+regressed, and what does the dashboard look like now.  The **cold** pass
+answers them from scratch — a one-shot
 :class:`~repro.analysis.regression.SeriesState` rescan per series per
 epoch (:meth:`RegressionDetector.detect_in_db` feeds the whole series to a
-fresh state), Extra-P refit from scratch (model cache cleared),
-``render_report`` over the raw record list.  The **warm** pass answers them through one
+fresh state), then ``render_report`` over the raw record list.  The
+**warm** pass answers them through one
 :class:`~repro.analysis.engine.AnalysisEngine` — persistent per-series
-regression state fed only new samples, memoized model fits — plus the same
-``render_report`` (the one dashboard).
+regression state fed only new samples — plus the same ``render_report``
+(the one dashboard).
 
-Correctness is asserted, not assumed: final regression events, Extra-P
-model strings, and the dashboard text must be identical between passes —
+Correctness is asserted, not assumed: final regression events, the
+dashboard text and the stored records must be identical between passes —
 the engine's contract is bit-identical results, only faster.
 
 Writes ``BENCH_analysis.json`` and exits non-zero if the warm pass is not
@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import (CaliperSession, RegressionDetector, clear_model_cache,
-                            fit_model, render_report)
+from repro.analysis import CaliperSession, RegressionDetector, render_report
 from repro.analysis.engine import AnalysisEngine
 from repro.ci import MetricsDatabase
 
@@ -55,7 +54,7 @@ def synthesize_epoch(epoch: int, systems, benchmarks) -> list:
     (system, benchmark, fom) with mild noise, a 20% step regression
     injected into one third of the series at 60% of the campaign, a flaky
     retry record now and then, and — every SCALING_EVERY epochs — a
-    strong-scaling sweep over NPROCS for model fitting."""
+    strong-scaling sweep over NPROCS that the dashboard also renders."""
     records = []
     for bi, benchmark in enumerate(benchmarks):
         for si, system in enumerate(systems):
@@ -88,11 +87,11 @@ def _ingest(db: MetricsDatabase, records) -> None:
 
 
 def run_cold(epoch_records, targets, session: CaliperSession):
-    """Per-epoch analysis from scratch: full rescans, fresh fits."""
+    """Per-epoch analysis from scratch: full rescans."""
     db = MetricsDatabase()
     detectors = {hib: RegressionDetector(THRESHOLD, WINDOW, hib)
                  for hib in (True, False)}
-    events = models = report = None
+    events = report = None
     for records in epoch_records:
         _ingest(db, records)
         with session.region("cold:detect"):
@@ -101,35 +100,22 @@ def run_cold(epoch_records, targets, session: CaliperSession):
                 found.extend(detectors[hib].detect_in_db(
                     db, benchmark, system, fom))
             events = sorted(found, key=lambda e: e.epoch)
-        with session.region("cold:model"):
-            clear_model_cache()  # the non-incremental world refits
-            models = {}
-            for benchmark, system, _, _ in targets[::2]:
-                pairs = db.series(benchmark, system, "total_time", "nprocs",
-                                  exclude_flaky=True)
-                if pairs:
-                    models[(benchmark, system)] = str(fit_model(pairs))
         with session.region("cold:dashboard"):
             report = render_report(db)
-    return db, events, models, report
+    return db, events, report
 
 
 def run_warm(epoch_records, targets):
     """The same questions answered through one persistent AnalysisEngine."""
     db = MetricsDatabase()
     engine = AnalysisEngine(db, threshold=THRESHOLD, window=WINDOW)
-    events = models = report = None
+    events = report = None
     for records in epoch_records:
         _ingest(db, records)
         events = engine.scan(targets)
-        models = {}
-        for benchmark, system, _, _ in targets[::2]:
-            model = engine.model(benchmark, system, "total_time")
-            if model is not None:
-                models[(benchmark, system)] = str(model)
         with engine.session.region("analysis:dashboard"):
             report = render_report(db)
-    return db, engine, events, models, report
+    return db, engine, events, report
 
 
 def bench(epochs: int, systems, benchmarks) -> dict:
@@ -138,28 +124,23 @@ def bench(epochs: int, systems, benchmarks) -> dict:
                      for e in range(epochs)]
 
     cold_session = CaliperSession()
-    clear_model_cache()
     t0 = time.perf_counter()
-    cold_db, cold_events, cold_models, cold_report = run_cold(
+    cold_db, cold_events, cold_report = run_cold(
         epoch_records, targets, cold_session)
     cold_s = time.perf_counter() - t0
 
-    clear_model_cache()
     t0 = time.perf_counter()
-    warm_db, engine, warm_events, warm_models, warm_report = run_warm(
+    warm_db, engine, warm_events, warm_report = run_warm(
         epoch_records, targets)
     warm_s = time.perf_counter() - t0
 
     # Correctness gates: the engine must be invisible in the results.
     assert [str(e) for e in cold_events] == [str(e) for e in warm_events], \
         "incremental regression events diverged from a full rescan"
-    assert cold_models == warm_models, \
-        "memoized Extra-P model strings diverged from fresh fits"
     assert cold_report == warm_report, \
         "warm dashboard diverged from the cold render_report"
     assert cold_db.to_records() == warm_db.to_records()
 
-    from repro.analysis.extrap import model_cache
     cold_profile, warm_profile = cold_session.flush(), engine.session.flush()
     return {
         "epochs": epochs,
@@ -170,10 +151,7 @@ def bench(epochs: int, systems, benchmarks) -> dict:
         "warm_seconds": warm_s,
         "speedup": cold_s / warm_s if warm_s else float("inf"),
         "events_identical": True,
-        "models_identical": True,
         "dashboard_identical": True,
-        "model_cache": {k: v for k, v in model_cache().stats().items()
-                        if k in ("hits", "misses", "hit_rate")},
         "caliper_cold": cold_profile.root.to_dict(),
         "caliper_warm": warm_profile.root.to_dict(),
         "_profiles": (cold_profile, warm_profile),

@@ -2,8 +2,8 @@
 
 ``AnalysisEngine`` feeds each series' :class:`~repro.analysis.regression.SeriesState`
 (the one regression scorer, re-exported here) only the records appended to
-the metrics database since its last scan, and memoizes Extra-P fits per
-series, timing each stage as a Caliper region.
+the metrics database since its last scan, timing each stage as a Caliper
+region.
 """
 
 from ..regression import SeriesState

@@ -152,9 +152,7 @@ class Ensemble:
         metric: str = "inclusive",
     ) -> PerformanceModel:
         """Fit an Extra-P model of ``region``'s metric versus a numeric
-        metadata column (e.g. nprocs) — the Figure 14 pipeline.  The fit is
-        memoized by measurement fingerprint (see :mod:`repro.analysis.extrap`),
-        so re-modeling an unchanged ensemble is a cache lookup."""
+        metadata column (e.g. nprocs) — the Figure 14 pipeline."""
         xs: List[float] = []
         ys: List[float] = []
         for p in self.profiles:

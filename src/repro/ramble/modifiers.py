@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from .application import FigureOfMeritDef
 
-__all__ = ["Modifier", "HardwareCountersModifier", "CaliperModifier", "ModifierRegistry"]
+__all__ = ["Modifier", "HardwareCountersModifier", "CaliperModifier"]
 
 
 class Modifier:
@@ -95,22 +95,3 @@ class CaliperModifier(Modifier):
             return ""
         return "# caliper profile attached\n"
 
-
-class ModifierRegistry:
-    def __init__(self):
-        self._modifiers: Dict[str, Modifier] = {}
-
-    def register(self, modifier: Modifier) -> Modifier:
-        self._modifiers[modifier.name] = modifier
-        return modifier
-
-    def get(self, name: str) -> Modifier:
-        try:
-            return self._modifiers[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown modifier {name!r}; known: {sorted(self._modifiers)}"
-            ) from None
-
-    def all(self) -> List[Modifier]:
-        return list(self._modifiers.values())

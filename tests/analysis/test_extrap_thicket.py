@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.caliper import CaliperSession
-from repro.analysis.extrap import Measurement, PerformanceModel, fit_model
+from repro.analysis.extrap import (
+    Measurement,
+    PerformanceModel,
+    fit_model,
+    fit_multi_term_model,
+)
 from repro.analysis.thicket import Ensemble, ThicketError
 
 
@@ -94,9 +99,45 @@ class TestExtrapFitting:
         with pytest.raises(ValueError, match="positive"):
             fit_model([Measurement(0, 1.0), Measurement(2, 1.0), Measurement(4, 1.0)])
 
+    @pytest.mark.parametrize("fit", [fit_model, fit_multi_term_model])
+    @pytest.mark.parametrize("field", ["p", "value"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_measurement_rejected(self, fit, field, bad):
+        ms = [(2.0, 1.0), (4.0, 2.0), (8.0, 3.0), (16.0, 4.0)]
+        ms[1] = (bad, 2.0) if field == "p" else (4.0, bad)
+        with pytest.raises(ValueError, match="finite.*Measurement"):
+            fit(ms)
+
     def test_tuple_input(self):
         model = fit_model([(2, 2.0), (4, 4.0), (8, 8.0), (16, 16.0)])
         assert model.i == 1.0
+
+    def test_tuple_and_measurement_inputs_fit_equal_models(self):
+        pairs = [(2.0, 1.0), (4.0, 2.0), (8.0, 4.0)]
+        assert fit_model(pairs) == fit_model(
+            [Measurement(p, v) for p, v in pairs])
+
+    def test_mutating_a_model_leaves_the_next_fit_alone(self):
+        ms = [Measurement(p, -0.64 + 0.047 * p)
+              for p in (2, 8, 32, 128, 512, 2048)]
+        model = fit_model(ms)
+        expected = str(model)
+        model.c0 = 12345.0
+        model.measurements.clear()
+        again = fit_model(ms)
+        assert str(again) == expected and again.measurements
+        multi = fit_multi_term_model(ms)
+        multi.terms.clear()
+        assert fit_multi_term_model(ms).terms
+
+    def test_restricted_exponent_space_honoured(self):
+        # sqrt data: the full space finds p^(0.5), a linear-only space
+        # must settle for p^(1)
+        ms = [Measurement(p, 1.0 + 2.0 * p ** 0.5) for p in (2, 8, 32, 128)]
+        full = fit_model(ms)
+        assert (full.i, full.j) == (0.5, 0)
+        restricted = fit_model(ms, exponents=[(1.0, 0)])
+        assert (restricted.i, restricted.j) == (1.0, 0)
 
     def test_model_string_figure14_format(self):
         model = PerformanceModel(c0=-0.6355857931, c1=0.0466021770, i=1.0, j=0)

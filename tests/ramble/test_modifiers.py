@@ -1,14 +1,11 @@
 """Tests for modifiers (§4.5's hardware counters etc.) and their wiring
 into the workspace run/analyze pipeline."""
 
-import pytest
-
 from repro.ramble import Workspace
 from repro.ramble.modifiers import (
     CaliperModifier,
     HardwareCountersModifier,
     Modifier,
-    ModifierRegistry,
 )
 from repro.systems import LocalExecutor
 
@@ -65,24 +62,6 @@ class TestHardwareCountersModifier:
     def test_custom_counter_set(self):
         mod = HardwareCountersModifier(counters=("cycles",))
         assert [f.name for f in mod.figures_of_merit()] == ["hwc_cycles"]
-
-
-class TestModifierRegistry:
-    def test_register_and_get(self):
-        reg = ModifierRegistry()
-        mod = HardwareCountersModifier()
-        reg.register(mod)
-        assert reg.get("hardware-counters") is mod
-
-    def test_unknown(self):
-        with pytest.raises(KeyError, match="unknown modifier"):
-            ModifierRegistry().get("ghost")
-
-    def test_all(self):
-        reg = ModifierRegistry()
-        reg.register(HardwareCountersModifier())
-        reg.register(CaliperModifier())
-        assert len(reg.all()) == 2
 
 
 class TestBaseModifier:
