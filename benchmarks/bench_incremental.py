@@ -20,7 +20,10 @@ numbers to ``BENCH_incremental.json``:
    epochs ingested, so the warm journal may be at most
    ``JOURNAL_SHARE_MAX`` times the size of the cold one.  Reopening the
    warm campaign with the shared cache must make no lookup or put in it,
-   and the reopened campaign's report must equal the live one's.
+   and the reopened campaign's report must equal the live one's.  The warm
+   pass hashes its set-up inputs once and each epoch key once: it may make
+   at most ``(epochs + 1) / epochs`` ``fingerprint`` encoder passes per
+   replayed epoch.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
    post-order; the simulated makespan must be the DAG's critical path,
    strictly below the serial sum of build times.
@@ -33,7 +36,7 @@ Run directly (not under pytest)::
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
 gate (timings on loaded CI runners are noisy); the hit-rate, flatness,
-set-up, journal-share and resume gates always apply.
+set-up, journal-share, encoder-pass and resume gates always apply.
 """
 
 from __future__ import annotations
@@ -104,12 +107,26 @@ def bench_warm_campaign(epochs: int) -> dict:
     ).run(epochs)
 
     before = shared.stats()
-    t0 = time.perf_counter()
-    warm = ContinuousBenchmarking(
-        EXPERIMENT, SYSTEM, base / "warm", result_cache=shared,
-    )
-    warm_bytes = _run(warm, epochs)
-    warm_s = time.perf_counter() - t0
+    # count the fingerprint encoder passes of the warm pass; the module is
+    # looked up in sys.modules because the package attribute of its name is
+    # the function
+    fp_module, passes = sys.modules["repro.perf.fingerprint"], [0]
+    dumps = fp_module._dumps
+
+    def counted_dumps(obj):
+        passes[0] += 1
+        return dumps(obj)
+
+    fp_module._dumps = counted_dumps
+    try:
+        t0 = time.perf_counter()
+        warm = ContinuousBenchmarking(
+            EXPERIMENT, SYSTEM, base / "warm", result_cache=shared,
+        )
+        warm_bytes = _run(warm, epochs)
+        warm_s = time.perf_counter() - t0
+    finally:
+        fp_module._dumps = dumps
     after = shared.stats()
     warm_hits = after["hits"] - before["hits"]
     warm_lookups = after["lookups"] - before["lookups"]
@@ -140,6 +157,8 @@ def bench_warm_campaign(epochs: int) -> dict:
         "warm_hits": warm_hits,
         "warm_lookups": warm_lookups,
         "warm_hit_rate": warm_hits / warm_lookups if warm_lookups else 0.0,
+        "encoder_passes_per_replay": passes[0] / warm_hits if warm_hits
+        else float("inf"),
         "speedup_vs_cold": cold_s / warm_s if warm_s else float("inf"),
         "speedup_vs_baseline": baseline_s / warm_s if warm_s else float("inf"),
         "foms_identical": True,
@@ -258,6 +277,12 @@ def main(argv=None) -> int:
         failures.append(
             f"cold campaign set its workspace up {campaign['setup_visits']} "
             f"times in {campaign['epochs']} epochs > {SETUP_VISITS_MAX}"
+        )
+    passes_max = (campaign["epochs"] + 1) / campaign["epochs"]
+    if campaign["encoder_passes_per_replay"] > passes_max:
+        failures.append(
+            f"warm pass made {campaign['encoder_passes_per_replay']:.2f} "
+            f"fingerprint encoder passes per replayed epoch > {passes_max:.2f}"
         )
     if any(campaign["resume_store_delta"].values()):
         failures.append(

@@ -11,6 +11,7 @@ consume.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -151,13 +152,15 @@ class MetricsDatabase:
     @staticmethod
     def point(rec: MetricRecord, x_key: str) -> Optional[Tuple[float, float]]:
         """``(manifest[x_key], value)`` as floats, or None when the key is
-        missing or either side is not numeric."""
+        missing or either side is not a finite number — one NaN or
+        infinity would poison every window mean of its series."""
         if x_key not in rec.manifest:
             return None
         try:
-            return float(rec.manifest[x_key]), float(rec.value)
+            x, y = float(rec.manifest[x_key]), float(rec.value)
         except (TypeError, ValueError):
             return None
+        return (x, y) if math.isfinite(x) and math.isfinite(y) else None
 
     def series(self, benchmark: str, system: str, fom_name: str,
                x_key: str, exclude_flaky: bool = False) -> List[tuple]:

@@ -14,12 +14,16 @@ which feeds each tracked series only its new samples.
 Like Ramble's ``workspace setup`` / ``ramble on`` split (§3.2), the campaign
 sets one workspace up under ``workdir/workspace/`` and runs each cold epoch's
 experiments into ``workdir/epoch-N/``; set-up runs again only when the
-fingerprint of its inputs changes.  The regression-tracking bench injects a
+fingerprint of its inputs changes.  That fingerprint is part of every epoch
+key, and is hashed again only when a deep comparison with the inputs it was
+last hashed from finds a change, so a replayed epoch makes one encoder
+pass, for its epoch key.  The regression-tracking bench injects a
 DIMM degradation mid-history and shows the loop localizing it in time.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import shutil
 from pathlib import Path
@@ -120,6 +124,9 @@ class ContinuousBenchmarking:
         #: (setup fingerprint, set-up workspace) of the campaign workspace;
         #: None until a cold epoch sets it up
         self._workspace: Optional[tuple] = None
+        #: (deep copy of the set-up inputs, their fingerprint), so a
+        #: replayed epoch hashes its set-up inputs only when they changed
+        self._setup_memo: Optional[tuple] = None
         if resume and self.checkpoint_path.exists():
             self._load_journal()
         #: incremental analysis over the accumulated history: per-series
@@ -238,25 +245,43 @@ class ContinuousBenchmarking:
         """The campaign workspace: set up once, run by every cold epoch."""
         return self.workdir / "workspace"
 
-    def _setup_key(self) -> str:
-        """Fingerprint of everything workspace set-up consumes, looked up
-        afresh: the generated ramble.yaml, the registry's descriptor of the
-        system (with the packages and compilers its Spack runtime reads),
-        the package repository, and what set-up reads of the Ramble
-        application class — its executables, inputs and workloads."""
+    def _setup_inputs(self) -> Dict[str, Any]:
+        """Everything workspace set-up and analysis consume, looked up
+        afresh as plain data that compares by value: the generated
+        ramble.yaml, the registry's descriptor of the system (with the
+        packages and compilers its Spack runtime reads), the digest of each
+        package repository, and what set-up and analysis read of the
+        application — its executables, inputs, workloads, figures of merit
+        and success criteria."""
         desc = get_system(self.system_name)
         app = builtin_applications().get(self.benchmark_name)
-        return fingerprint({
+        return {
             "config": workspace_config(self.experiment, desc),
             "system": desc.to_dict(),
             "packages": desc.packages_config,
             "compilers": desc.compilers,
-            "repo": default_repo_path().fingerprint(),
+            "repo": [r.fingerprint() for r in default_repo_path().repos],
             "application": [
-                f"{app.__module__}.{app.__qualname__}", app.executables,
-                app.inputs, {name: [wl, wl.inputs, wl.variables]
-                             for name, wl in app.workloads.items()}],
-        })
+                f"{app.__module__}.{app.__qualname__}",
+                {n: vars(e) for n, e in app.executables.items()}, app.inputs,
+                {n: [wl.name, wl.executables, wl.inputs,
+                     {v: vars(d) for v, d in wl.variables.items()}]
+                 for n, wl in app.workloads.items()},
+                {n: {k: v for k, v in vars(f).items() if k != "_compiled"}
+                 for n, f in app.figures_of_merit.items()},
+                {n: vars(c) for n, c in app.success_criteria.items()}],
+        }
+
+    def _setup_key(self) -> str:
+        """Fingerprint of :meth:`_setup_inputs`, hashed again only when
+        they change.  The memo keeps a deep copy of the inputs it hashed,
+        so an edit in place, however deeply nested, fails the comparison
+        and is hashed.  Values compare with ``==``: an edit to an equal
+        value of another type (``1`` → ``1.0``) keeps the key."""
+        inputs = self._setup_inputs()
+        if self._setup_memo is None or inputs != self._setup_memo[0]:
+            self._setup_memo = (copy.deepcopy(inputs), fingerprint(inputs))
+        return self._setup_memo[1]
 
     def _ingest(self, line: Dict[str, Any]) -> int:
         """Fold one epoch's journal line into the campaign — its results,

@@ -173,7 +173,8 @@ _record = st.tuples(
     # two performance levels, so windows do cross the threshold
     st.one_of(st.floats(min_value=90.0, max_value=110.0),
               st.floats(min_value=50.0, max_value=70.0),
-              st.sampled_from(["n/a", "", None])),
+              st.sampled_from(["n/a", "", None, float("nan"),
+                               float("inf"), float("-inf")])),
     st.sampled_from([{}, {}, {}, {"flaky": "false", "attempts": "1"},
                      {"flaky": "true"}, {"attempts": "2"}]),
 )
@@ -209,6 +210,30 @@ class TestEngineDifferential:
                     manifest["epoch"] = str(i - lag)
                 db.record(benchmark, system, "e", fom, value, "u", manifest)
             assert engine.scan(SCANNED) == _oracle(db, window)
+
+
+class TestNonFiniteSamples:
+    #: a 30% drop at epoch 6; None marks the non-finite sample
+    VALUES = [100.0, 100.0, None, 100.0, 100.0, 100.0, 70.0, 70.0, 70.0, 70.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), "nan"],
+                             ids=["nan", "inf", "-inf", "nan-text"])
+    def test_one_non_finite_sample_keeps_detection_on(self, bad):
+        """A non-finite sample is dropped, as a non-numeric one is, and the
+        rest of its series is still scanned."""
+        db = MetricsDatabase()
+        for epoch, value in enumerate(self.VALUES):
+            db.record("stream", "cts1", "e", "triad_bw",
+                      bad if value is None else value, "GB/s",
+                      {"epoch": str(epoch)})
+        engine = AnalysisEngine(db, threshold=0.10, window=2)
+        events = engine.scan([("stream", "cts1", "triad_bw", True)])
+        finite = [(float(e), v) for e, v in enumerate(self.VALUES)
+                  if v is not None]
+        assert events == _batch(finite, 2, True, "stream/cts1/triad_bw")
+        assert [e.epoch for e in events] == [6]
+        assert db.series("stream", "cts1", "triad_bw", "epoch") == finite
 
 
 class TestStateValidation:

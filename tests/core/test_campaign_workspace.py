@@ -10,6 +10,9 @@ workspace up once and runs every cold epoch into ``epoch-N/`` against it.
   when a result cache shared with an unedited run holds that epoch.
 * *Resume* — a campaign resumed from its journal sets up again on its
   first cold epoch and then matches the uninterrupted run.
+* *Memo* — the set-up key, hashed again only when its inputs change,
+  equals a fresh fingerprint of those inputs after any edit, and an edit to
+  what analysis reads (figures of merit, success criteria) is not replayed.
 """
 
 import dataclasses
@@ -22,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.continuous import ContinuousBenchmarking
 from repro.core.driver import benchpark_setup
-from repro.perf import ContentStore
-from repro.ramble import Workspace
+from repro.perf import ContentStore, fingerprint
+from repro.ramble import Workspace, builtin_applications
+from repro.ramble.application import FigureOfMeritDef
 from repro.ramble.modifiers import Modifier
 from repro.spack import repository
 from repro.spack.repository import Repository, builtin_repo
@@ -226,3 +230,103 @@ class TestInvalidation:
             EXPERIMENT, SYSTEM, tmp_path / "whole").run(EPOCHS)
         assert (_records(resumed, tmp_path / "killed")
                 == _records(whole, tmp_path / "whole"))
+
+
+# -- the set-up key memo -----------------------------------------------------
+def _saxpy():
+    return builtin_applications().get("saxpy")
+
+
+def _edit_nested_packages(mp, n: int):
+    """Move the mvapich2 external's prefix, inside its entry."""
+    external = get_system(SYSTEM).packages_config["mvapich2"]["externals"][0]
+    mp.setitem(external, "prefix", f"/opt/mvapich2-edit{n}")
+
+
+def _edit_compilers(mp, n: int):
+    """Move the first compiler's C compiler, inside its entry."""
+    mp.setitem(get_system(SYSTEM).compilers[0]["paths"], "cc",
+               f"/usr/tce/bin/gcc-edit{n}")
+
+
+def _edit_variable_default(mp, n: int):
+    """Change saxpy's problem-size default on the shared definition."""
+    variable = _saxpy().workloads["problem"].variables["n"]
+    mp.setattr(variable, "default", str(n + 1))
+
+
+def _edit_fom_units(mp, n: int):
+    """Change the bandwidth FOM's units on its shared definition."""
+    mp.setattr(_saxpy().figures_of_merit["bandwidth"], "units", f"GB/s/{n}")
+
+
+def _edit_fom_regex(mp, n: int):
+    """Replace the bandwidth FOM with one whose regex differs."""
+    mp.setitem(_saxpy().figures_of_merit, "bandwidth", FigureOfMeritDef(
+        "bandwidth", rf"saxpy bandwidth:{' ' * n}(?P<bw>[0-9.eE+-]+) GB/s",
+        "bw", units="GB/s"))
+
+
+def _edit_equal_copy(mp, n: int):
+    """Store an equal copy of an entry: a new object, the same value."""
+    packages = get_system(SYSTEM).packages_config
+    mp.setitem(packages, "mvapich2", json.loads(json.dumps(
+        packages["mvapich2"])))
+
+
+MEMO_EDITS = dict(EDITS, **{
+    "nested-packages": _edit_nested_packages,
+    "compilers": _edit_compilers,
+    "variable-default": _edit_variable_default,
+    "fom-units": _edit_fom_units,
+    "fom-regex": _edit_fom_regex,
+    "equal-copy": _edit_equal_copy,
+})
+
+
+class TestSetupKeyMemo:
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(MEMO_EDITS)),
+                              st.sampled_from(["key", "epoch"])),
+                    min_size=1, max_size=6))
+    def test_memo_equals_a_fresh_fingerprint(self, steps):
+        """Edits in place, nested or by replacement, interleaved with key
+        look-ups and epochs: the memoized key always equals a fresh
+        fingerprint of the inputs."""
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            campaign = ContinuousBenchmarking(EXPERIMENT, SYSTEM, d)
+            keys = [campaign._setup_key()]
+            for n, (edit, call) in enumerate(steps, start=1):
+                MEMO_EDITS[edit](mp, n)
+                if call == "epoch":
+                    campaign.run_epoch()
+                keys.append(campaign._setup_key())
+                assert keys[-1] == fingerprint(campaign._setup_inputs()), \
+                    f"stale set-up key after {edit!r}"
+            assert _setup_visits(campaign) <= len(set(keys))
+
+    @pytest.mark.parametrize("edit", ["units", "criterion"])
+    def test_analysis_edit_is_not_replayed(self, tmp_path, monkeypatch, edit):
+        """A shared store filled before an edit to a figure of merit or a
+        success criterion holds results analyzed under the old definition:
+        a campaign after the edit runs cold, as a fresh one would."""
+        shared = ContentStore("epoch-results")
+        ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "filled",
+                               result_cache=shared).run(2)
+        if edit == "units":
+            monkeypatch.setattr(_saxpy().figures_of_merit["bandwidth"],
+                                "units", "furlongs/fortnight")
+        else:
+            monkeypatch.setattr(_saxpy().success_criteria["pass"], "match",
+                                r"Kernel (done|finished)")
+        warm = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path / "warm",
+                                      result_cache=shared).run(2)
+        fresh = ContinuousBenchmarking(EXPERIMENT, SYSTEM,
+                                       tmp_path / "fresh").run(2)
+        assert _replayed(warm) == set()
+        assert (_records(warm, tmp_path / "warm")
+                == _records(fresh, tmp_path / "fresh"))
+        if edit == "units":
+            assert {r.units for r in warm.db.query(fom_name="bandwidth")} \
+                == {"furlongs/fortnight"}
