@@ -12,7 +12,7 @@ from .config import ConfigScope, Configuration
 from .ci_pipeline import generate_ci_pipeline
 from .diff import SpecDiff, diff_specs
 from .environment import Environment
-from .graph import build_order, critical_path, graph_stats, parallel_makespan, spec_to_graph
+from .graph import critical_path, graph_stats, parallel_makespan
 from .installer import BuildResult, Installer
 from .package import (
     AutotoolsPackage,
@@ -61,13 +61,11 @@ __all__ = [
     "Version",
     "VersionList",
     "VersionRange",
-    "build_order",
     "generate_ci_pipeline",
     "builtin_repo",
     "critical_path",
     "graph_stats",
     "parallel_makespan",
-    "spec_to_graph",
     "default_repo_path",
     "diff_specs",
     "parse_spec",

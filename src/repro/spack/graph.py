@@ -1,10 +1,9 @@
 """Dependency-graph analysis over concrete specs.
 
-Spack models builds as DAGs; this module exposes that DAG as a
-``networkx.DiGraph`` and answers scheduling questions the installer and
-benches need:
+Spack models builds as DAGs.  This module walks a concrete spec's DAG in
+post-order (dependencies first, as the installer does) and answers the
+scheduling questions the benches need:
 
-* topological build order (what the installation engine follows),
 * the **critical path** of simulated build times — the lower bound on
   makespan with unlimited build parallelism,
 * makespan under ``k`` parallel build jobs (list scheduling), which powers
@@ -16,14 +15,10 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from .installer import _BUILD_COST, _DEFAULT_COST
 from .spec import Spec, SpecError
 
 __all__ = [
-    "spec_to_graph",
-    "build_order",
     "critical_path",
     "parallel_makespan",
     "graph_stats",
@@ -36,48 +31,37 @@ def _node_cost(spec: Spec) -> float:
     return _BUILD_COST.get(spec.name, _DEFAULT_COST)
 
 
-def spec_to_graph(spec: Spec) -> "nx.DiGraph":
-    """DiGraph with an edge dep → dependent (build direction), node attrs
-    ``spec`` and ``cost`` (simulated build seconds)."""
+def _post_order(spec: Spec) -> List[Spec]:
+    """The DAG's nodes, each after all of its dependencies."""
     if not spec.concrete:
         raise SpecError(f"graph analysis requires a concrete spec, got {spec}")
-    g = nx.DiGraph()
-    for node in spec.traverse():
-        g.add_node(node.name, spec=node, cost=_node_cost(node))
-    for node in spec.traverse():
-        for dep in node.dependencies.values():
-            g.add_edge(dep.name, node.name)
-    if not nx.is_directed_acyclic_graph(g):
-        raise SpecError(f"dependency graph of {spec.name} has a cycle")
-    return g
-
-
-def build_order(spec: Spec) -> List[str]:
-    """A valid installation order (dependencies before dependents),
-    deterministic (lexicographic tie-break)."""
-    g = spec_to_graph(spec)
-    return list(nx.lexicographical_topological_sort(g))
+    nodes = list(spec.traverse(order="post"))
+    seen = set()
+    for node in nodes:
+        # post-order puts a dependency later only when it closes a cycle
+        if any(dep.name not in seen for dep in node.dependencies.values()):
+            raise SpecError(f"dependency graph of {spec.name} has a cycle")
+        seen.add(node.name)
+    return nodes
 
 
 def critical_path(spec: Spec) -> Tuple[List[str], float]:
     """The longest cost-weighted chain: (package names, total seconds)."""
-    g = spec_to_graph(spec)
     dist: Dict[str, float] = {}
     parent: Dict[str, Optional[str]] = {}
-    for name in nx.topological_sort(g):
-        cost = g.nodes[name]["cost"]
-        best_pred, best = None, 0.0
-        for pred in g.predecessors(name):
-            if dist[pred] >= best:
-                best, best_pred = dist[pred], pred
-        dist[name] = best + cost
-        parent[name] = best_pred
+    for node in _post_order(spec):
+        best_dep, best = None, 0.0
+        for dep in node.dependencies.values():
+            if dist[dep.name] >= best:
+                best, best_dep = dist[dep.name], dep.name
+        dist[node.name] = best + _node_cost(node)
+        parent[node.name] = best_dep
     end = max(dist, key=lambda n: dist[n])
     path = []
-    node: Optional[str] = end
-    while node is not None:
-        path.append(node)
-        node = parent[node]
+    name: Optional[str] = end
+    while name is not None:
+        path.append(name)
+        name = parent[name]
     return list(reversed(path)), dist[end]
 
 
@@ -86,40 +70,39 @@ def parallel_makespan(spec: Spec, workers: int) -> float:
     (greedy list scheduling, ready tasks longest-first)."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    g = spec_to_graph(spec)
-    indegree = {n: g.in_degree(n) for n in g.nodes}
-    ready = [(-g.nodes[n]["cost"], n) for n, d in indegree.items() if d == 0]
+    nodes = _post_order(spec)
+    cost = {node.name: _node_cost(node) for node in nodes}
+    waiting = {node.name: len(node.dependencies) for node in nodes}
+    dependents: Dict[str, List[str]] = {node.name: [] for node in nodes}
+    for node in nodes:
+        for dep in node.dependencies.values():
+            dependents[dep.name].append(node.name)
+    ready = [(-cost[n], n) for n, count in waiting.items() if count == 0]
     heapq.heapify(ready)
     #: (finish_time, node) of running builds
     running: List[Tuple[float, str]] = []
     now = 0.0
-    done = 0
-    total = g.number_of_nodes()
-    while done < total:
+    for _ in nodes:
         while ready and len(running) < workers:
             neg_cost, name = heapq.heappop(ready)
             heapq.heappush(running, (now - neg_cost, name))
-        if not running:
-            raise SpecError("deadlock in build scheduling (cycle?)")
         now, finished = heapq.heappop(running)
-        done += 1
-        for succ in g.successors(finished):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, (-g.nodes[succ]["cost"], succ))
+        for succ in dependents[finished]:
+            waiting[succ] -= 1
+            if waiting[succ] == 0:
+                heapq.heappush(ready, (-cost[succ], succ))
     return now
 
 
 def graph_stats(spec: Spec) -> Dict[str, float]:
     """Summary statistics of a build DAG."""
-    g = spec_to_graph(spec)
+    nodes = _post_order(spec)
     _, cp = critical_path(spec)
-    total = sum(g.nodes[n]["cost"] for n in g.nodes)
+    total = sum(_node_cost(node) for node in nodes)
     return {
-        "nodes": g.number_of_nodes(),
-        "edges": g.number_of_edges(),
+        "nodes": len(nodes),
+        "edges": sum(len(node.dependencies) for node in nodes),
         "total_build_seconds": total,
         "critical_path_seconds": cp,
         "max_parallel_speedup": total / cp if cp > 0 else 1.0,
-        "longest_chain": len(nx.dag_longest_path(g)),
     }
