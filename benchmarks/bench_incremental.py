@@ -23,10 +23,15 @@ numbers to ``BENCH_incremental.json``:
    and the reopened campaign's report must equal the live one's.  The warm
    pass hashes its set-up inputs once and each epoch key once: it may make
    at most ``(epochs + 1) / epochs`` ``fingerprint`` encoder passes per
-   replayed epoch.
+   replayed epoch.  Every layer times itself into the campaign's Caliper
+   session: the cold campaign's tree must hold each of ``LAYER_REGIONS``,
+   and every replayed epoch must enter the same regions as often as every
+   other — the first adds only the ``fingerprint`` of its set-up inputs —
+   so a replay's bookkeeping cannot grow with the history.
 2. **Parallel DAG install** — the amg2023+caliper DAG installed in
-   post-order; the simulated makespan must be the DAG's critical path,
-   strictly below the serial sum of build times.
+   post-order; its critical path (:mod:`repro.spack.graph`), the makespan
+   of a build farm with unlimited jobs, must lie strictly below the serial
+   sum of build times.
 3. **Memoized concretization** — the same environment solved cold and
    warm; the warm solve is a cache lookup.
 
@@ -36,7 +41,8 @@ Run directly (not under pytest)::
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
 gate (timings on loaded CI runners are noisy); the hit-rate, flatness,
-set-up, journal-share, encoder-pass and resume gates always apply.
+set-up, journal-share, encoder-pass, region and resume gates always
+apply.
 """
 
 from __future__ import annotations
@@ -47,11 +53,12 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.core.continuous import ContinuousBenchmarking
 from repro.perf import ContentStore
-from repro.spack import Concretizer, Installer, Store
+from repro.spack import Concretizer, Installer, Store, graph_stats
 from repro.spack.concretizer import clear_concretization_memo
 
 EXPERIMENT = "stream/openmp"
@@ -64,6 +71,17 @@ SETUP_VISITS_MAX = 1
 #: pass's, and the warm journal's size over the cold one's, at most
 FOREIGN_SYSTEM = "ats4"
 JOURNAL_SHARE_MAX = 1.1
+#: the layer regions a cold campaign's session must hold, by name; the
+#: kernel is the experiment's own
+LAYER_REGIONS = (
+    "driver.benchpark_setup", "workspace.setup",
+    "concretizer.concretize_together", "installer.install",
+    "executor.execute", "kernel.stream", "fom.analyze",
+    "metricsdb.ingest_analysis", "fingerprint", "journal.append",
+)
+#: what the first replayed epoch may enter beyond a later one: the hash of
+#: the set-up inputs, made once per process
+FIRST_REPLAY_EXTRA = Counter({"fingerprint": 1})
 
 
 def _fom_series(campaign: ContinuousBenchmarking):
@@ -79,17 +97,28 @@ def _fom_series(campaign: ContinuousBenchmarking):
     return out
 
 
-def _run(campaign: ContinuousBenchmarking, epochs: int) -> list:
+def _visits(campaign: ContinuousBenchmarking) -> Counter:
+    """Visits so far of every region on the campaign's session, by path."""
+    return Counter({path: node.visits
+                    for path, node in campaign.session.regions().items()})
+
+
+def _run(campaign: ContinuousBenchmarking, epochs: int) -> tuple:
     """Run ``epochs`` epochs; return the bytes each epoch after the first
-    wrote to the campaign's journal: all of it past the prefix kept from
-    the epoch before, so a rewrite counts in full and an append by size."""
+    wrote to the campaign's journal — all of it past the prefix kept from
+    the epoch before, so a rewrite counts in full and an append by size —
+    and the region visits each epoch made."""
     written, before = [], b""
+    visits, seen = [], _visits(campaign)
     for _ in range(epochs):
         campaign.run_epoch()
         after = campaign.checkpoint_path.read_bytes()
         written.append(len(after) - len(os.path.commonprefix([before, after])))
         before = after
-    return written[1:]
+        now = _visits(campaign)
+        visits.append(now - seen)
+        seen = now
+    return written[1:], visits
 
 
 def bench_warm_campaign(epochs: int) -> dict:
@@ -100,7 +129,7 @@ def bench_warm_campaign(epochs: int) -> dict:
     cold = ContinuousBenchmarking(
         EXPERIMENT, SYSTEM, base / "cold", result_cache=shared,
     )
-    cold_bytes = _run(cold, epochs)
+    cold_bytes, _ = _run(cold, epochs)
     cold_s = time.perf_counter() - t0
     ContinuousBenchmarking(
         EXPERIMENT, FOREIGN_SYSTEM, base / "foreign", result_cache=shared,
@@ -123,7 +152,7 @@ def bench_warm_campaign(epochs: int) -> dict:
         warm = ContinuousBenchmarking(
             EXPERIMENT, SYSTEM, base / "warm", result_cache=shared,
         )
-        warm_bytes = _run(warm, epochs)
+        warm_bytes, warm_visits = _run(warm, epochs)
         warm_s = time.perf_counter() - t0
     finally:
         fp_module._dumps = dumps
@@ -149,6 +178,8 @@ def bench_warm_campaign(epochs: int) -> dict:
         "warm campaign regression events diverged from cold campaign"
 
     cold_profile, warm_profile = cold.session.flush(), warm.session.flush()
+    cold_names = {path.rsplit("/", 1)[-1] for path in cold_profile.regions()}
+    steady = warm_visits[-1]
     return {
         "epochs": epochs,
         "cold_seconds": cold_s,
@@ -167,6 +198,12 @@ def bench_warm_campaign(epochs: int) -> dict:
         "journal_share": (warm.checkpoint_path.stat().st_size
                           / cold.checkpoint_path.stat().st_size),
         "setup_visits": cold_profile.regions()["epoch:setup"].visits,
+        "layer_regions_missing": [r for r in LAYER_REGIONS
+                                  if r not in cold_names],
+        "region_visits_per_replay": dict(sorted(steady.items())),
+        "replay_visits_flat": (
+            warm_visits[0] == steady + FIRST_REPLAY_EXTRA
+            and all(v == steady for v in warm_visits[1:])),
         "resume_store_delta": {k: resumed[k] - after[k]
                                for k in ("hits", "misses", "puts")},
         "resume_report_identical": reopened.report() == warm.report(),
@@ -180,13 +217,12 @@ def bench_parallel_install() -> dict:
     clear_concretization_memo()
     root = Concretizer().concretize_together(["amg2023+caliper"])[0]
     with tempfile.TemporaryDirectory() as d:
-        installer = Installer(Store(Path(d) / "store"))
         t0 = time.perf_counter()
-        installer.install(root)
+        Installer(Store(Path(d) / "store")).install(root)
         wall = time.perf_counter() - t0
-        stats = dict(installer.last_install_stats)
-    assert stats["critical_path_seconds"] < stats["serial_seconds"], \
-        "parallel install must charge critical-path time, not the serial sum"
+    stats = graph_stats(root)
+    assert stats["critical_path_seconds"] < stats["total_build_seconds"], \
+        "the DAG's critical path must lie below the serial sum"
     stats["wall_seconds"] = wall
     return stats
 
@@ -272,6 +308,18 @@ def main(argv=None) -> int:
         failures.append(
             f"warm journal is {campaign['journal_share']:.2f} x the cold "
             f"journal's size > {JOURNAL_SHARE_MAX}"
+        )
+    if campaign["layer_regions_missing"]:
+        failures.append(
+            f"cold campaign's Caliper session lacks the layer regions "
+            f"{campaign['layer_regions_missing']}"
+        )
+    if not campaign["replay_visits_flat"]:
+        failures.append(
+            "replayed epochs entered different Caliper regions: "
+            "not every epoch after the first made "
+            f"{campaign['region_visits_per_replay']}, or the first made "
+            f"more than {dict(FIRST_REPLAY_EXTRA)} beyond it"
         )
     if campaign["setup_visits"] > SETUP_VISITS_MAX:
         failures.append(

@@ -2,7 +2,7 @@
 ensembles, Extra-P scaling models, and the results dashboard."""
 
 from . import adiak
-from .caliper import CaliperSession, Profile, RegionNode, annotate, global_session, region
+from .caliper import CaliperSession, Profile, RegionNode, active_session, annotate, region
 from .diagnosis import FOM_SUBSYSTEMS, FailureHypothesis, diagnose
 from .dashboard import ascii_plot, render_grid, render_report, render_series
 from .engine import AnalysisEngine
@@ -34,13 +34,13 @@ __all__ = [
     "RegressionEvent",
     "RegionNode",
     "ThicketError",
+    "active_session",
     "adiak",
     "annotate",
     "ascii_plot",
     "diagnose",
     "fit_model",
     "fit_multi_term_model",
-    "global_session",
     "region",
     "render_grid",
     "render_report",

@@ -5,13 +5,17 @@ always-on profiling, enabling collection of performance profiles for each
 run".  This module provides the same programming model:
 
 * region annotations via context manager / decorator
-  (``with region("solve"): ...``),
+  (``with region("solve"): ...``, ``@annotate("fom.analyze")``),
 * a **context tree** of nested regions with inclusive/exclusive times and
   visit counts,
-* a process-global session (Caliper's default channel) so library code can
-  annotate without plumbing a profiler object through every call,
+* one channel: a stack of *active* sessions.  ``with
+  session.activate():`` makes ``session`` the innermost one, and the
+  module-level :func:`region` and :func:`annotate` record into it, so every
+  layer annotates itself without a session passed down to it.  A region
+  ends on the session it began on; with no session active, nothing is
+  recorded.  The stack is process-wide: the program runs on one thread,
 * structured :class:`Profile` output consumable by Thicket
-  (:mod:`repro.analysis.thicket`).
+  (:mod:`repro.analysis.thicket`); always-on mode flushes one per run.
 
 Timings are wall-clock by default but can be driven from a simulated clock
 (for profiles of SimMPI runs).
@@ -21,11 +25,14 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 __all__ = ["CaliperSession", "Profile", "RegionNode", "region", "annotate",
-           "global_session"]
+           "active_session"]
+
+#: the active sessions, innermost last
+_active: List["CaliperSession"] = []
 
 
 class RegionNode:
@@ -37,6 +44,8 @@ class RegionNode:
         self.children: Dict[str, "RegionNode"] = {}
         self.visits = 0
         self.inclusive = 0.0
+        #: clock reading at the open visit's begin
+        self.started = 0.0
 
     @property
     def path(self) -> str:
@@ -124,50 +133,39 @@ class CaliperSession:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock or time.perf_counter
         self._root = RegionNode("")
+        #: the open regions, outermost first, under the root
         self._stack: List[RegionNode] = [self._root]
-        self._starts: List[float] = []
-        self._profiles: List[Profile] = []
 
     # -- annotation API --------------------------------------------------
     def begin(self, name: str) -> None:
-        node = self._stack[-1].child(name)
+        parent = self._stack[-1]
+        node = parent.children.get(name) or parent.child(name)
         node.visits += 1
         self._stack.append(node)
-        self._starts.append(self.clock())
+        node.started = self.clock()
 
     def end(self, name: str) -> None:
-        if len(self._stack) <= 1:
+        stack = self._stack
+        node = stack[-1]
+        if len(stack) <= 1:
             raise RuntimeError(f"cali end({name!r}) without matching begin")
-        node = self._stack[-1]
         if node.name != name:
             raise RuntimeError(
                 f"mismatched region end: expected {node.name!r}, got {name!r}"
             )
-        node.inclusive += self.clock() - self._starts.pop()
-        self._stack.pop()
+        node.inclusive += self.clock() - node.started
+        stack.pop()
 
-    @contextmanager
-    def region(self, name: str):
-        self.begin(name)
-        try:
-            yield
-        finally:
-            self.end(name)
+    def region(self, name: str) -> "_Region":
+        """``with session.region(name):`` — a region on this session,
+        active or not."""
+        return _Region(self, name)
 
-    def annotate(self, name: Optional[str] = None) -> Callable:
-        """Decorator form: @session.annotate() or @session.annotate("x")."""
-
-        def wrap(fn: Callable) -> Callable:
-            label = name or fn.__name__
-
-            @functools.wraps(fn)
-            def inner(*args, **kwargs):
-                with self.region(label):
-                    return fn(*args, **kwargs)
-
-            return inner
-
-        return wrap
+    def activate(self) -> "_Activation":
+        """``with session.activate():`` — make this the innermost active
+        session, the one :func:`region` and :func:`annotate` record into,
+        until the block exits.  Activations nest."""
+        return _Activation(self)
 
     def regions(self) -> Dict[str, RegionNode]:
         """Live path → node view of the current (unflushed) tree."""
@@ -189,33 +187,77 @@ class CaliperSession:
         self._root.inclusive = sum(
             c.inclusive for c in self._root.children.values())
         profile = Profile(self._root, merged)
-        self._profiles.append(profile)
         self._root = RegionNode("")
         self._stack = [self._root]
         return profile
 
-    def last_profile(self) -> Optional[Profile]:
-        return self._profiles[-1] if self._profiles else None
+
+class _Activation:
+    """One session on the active stack for the span of a ``with`` block."""
+
+    __slots__ = ("session",)
+
+    def __init__(self, session: CaliperSession):
+        self.session = session
+
+    def __enter__(self) -> CaliperSession:
+        _active.append(self.session)
+        return self.session
+
+    def __exit__(self, *exc) -> None:
+        _active.pop()
 
 
-_global: Optional[CaliperSession] = None
+class _Region:
+    """One region's begin and end on one session."""
+
+    __slots__ = ("session", "name")
+
+    def __init__(self, session: CaliperSession, name: str):
+        self.session = session
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.session.begin(self.name)
+
+    def __exit__(self, *exc) -> None:
+        self.session.end(self.name)
 
 
-def global_session() -> CaliperSession:
-    """Caliper's default channel."""
-    global _global
-    if _global is None:
-        _global = CaliperSession()
-    return _global
+def active_session() -> Optional[CaliperSession]:
+    """The innermost active session, or None."""
+    return _active[-1] if _active else None
 
 
-@contextmanager
-def region(name: str):
-    """Annotate a region on the global session (``cali.mark`` style)."""
-    with global_session().region(name):
-        yield
+#: what :func:`region` returns when no session is active
+_NO_REGION = nullcontext()
+
+
+def region(name: str) -> ContextManager[None]:
+    """``with region(name):`` — a region on the innermost active session
+    (``cali.mark`` style), ended on that session whatever is activated
+    inside the block; a no-op when no session is active."""
+    return _Region(_active[-1], name) if _active else _NO_REGION
 
 
 def annotate(name: Optional[str] = None) -> Callable:
-    """Decorator on the global session."""
-    return global_session().annotate(name)
+    """Decorator form of :func:`region`: ``@annotate()`` names the region
+    after the function, ``@annotate("x")`` names it ``x``."""
+
+    def wrap(fn: Callable) -> Callable:
+        label = name or fn.__name__
+
+        @functools.wraps(fn)
+        def inner(*args, **kwargs):
+            if not _active:
+                return fn(*args, **kwargs)
+            session = _active[-1]
+            session.begin(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                session.end(label)
+
+        return inner
+
+    return wrap

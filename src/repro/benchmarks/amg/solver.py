@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.caliper import region
+
 from ..simmpi import SimWorld
 from .cycles import SolveStats, amg_solve, pcg_solve
 from .grids import problem_matrix
@@ -105,25 +107,19 @@ def run_amg(
     max_iterations: int = 200,
     theta: Optional[float] = None,
     world: Optional[SimWorld] = None,
-    caliper_session=None,
 ) -> AmgResult:
     """Run the AMG benchmark end to end (setup + solve + FOMs).
 
-    Passing a :class:`repro.analysis.caliper.CaliperSession` annotates the
-    phases the paper plans to instrument (§5: "we plan to annotate the
-    benchmarks with Caliper"): a ``problem``/``setup``/``solve`` region tree
-    with Adiak-style run metadata attached at flush time by the caller.
+    The phases the paper plans to instrument (§5: "we plan to annotate the
+    benchmarks with Caliper") are regions on the active Caliper session,
+    if any: an ``amg2023`` region over ``problem``/``setup``/``solve``, with
+    Adiak-style run metadata attached at flush time by the caller.
     """
-    from contextlib import nullcontext
-
     if theta is None:
         # Per-problem strength thresholds: the 27-point stencil's couplings
         # are uniformly 1/26 of the diagonal, so the 7-point default (0.08)
         # would filter every connection and collapse the hierarchy.
         theta = {1: 0.08, 2: 0.25, 3: 0.02}[problem]
-
-    def region(name: str):
-        return caliper_session.region(name) if caliper_session else nullcontext()
 
     with region("amg2023"):
         with region("problem"):

@@ -17,6 +17,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.caliper import annotate
+
 __all__ = ["MetricRecord", "MetricsDatabase"]
 
 
@@ -78,6 +80,7 @@ class MetricsDatabase:
             manifest=dict(manifest or {}),
         ))
 
+    @annotate("metricsdb.ingest_analysis")
     def ingest_analysis(self, system: str, analysis: Dict[str, Any]) -> int:
         """Load a Ramble ``results.latest.json`` payload; returns the number
         of FOM records stored.  An experiment's records share one copy of

@@ -15,21 +15,23 @@ Like Ramble's ``workspace setup`` / ``ramble on`` split (§3.2), the campaign
 sets one workspace up under ``workdir/workspace/`` and runs each cold epoch's
 experiments into ``workdir/epoch-N/``; set-up runs again only when the
 fingerprint of its inputs changes.  That fingerprint is part of every epoch
-key, and is hashed again only when a deep comparison with the inputs it was
-last hashed from finds a change, so a replayed epoch makes one encoder
-pass, for its epoch key.  The regression-tracking bench injects a
-DIMM degradation mid-history and shows the loop localizing it in time.
+key, and is hashed again only when the inputs' pickle differs from the one
+they were last hashed from, so a replayed epoch makes one encoder pass, for
+its epoch key.  An epoch and a regression scan run with the campaign's
+Caliper session active, so every layer they call times itself into it.
+The regression-tracking bench injects a DIMM degradation mid-history and
+shows the loop localizing it in time.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import pickle
 import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.caliper import CaliperSession
+from repro.analysis.caliper import CaliperSession, annotate, region
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.regression import RegressionEvent, epoch_means
 from repro.ci import MetricsDatabase
@@ -113,8 +115,9 @@ class ContinuousBenchmarking:
             result_cache if result_cache is not None
             else ContentStore("epoch-results")
         )
-        #: the campaign's one timing channel: ``epoch:*`` regions here,
-        #: ``analysis:*`` regions in the engine
+        #: the campaign's one timing channel, active while an epoch or a
+        #: regression scan runs: ``epoch:*`` regions here, ``analysis:*`` in
+        #: the engine and one region per layer they call
         self.session = CaliperSession()
         #: per-epoch resilience metadata: {epoch: {experiment: attempt info}}
         self.attempt_history: Dict[str, Dict[str, Any]] = {}
@@ -124,8 +127,8 @@ class ContinuousBenchmarking:
         #: (setup fingerprint, set-up workspace) of the campaign workspace;
         #: None until a cold epoch sets it up
         self._workspace: Optional[tuple] = None
-        #: (deep copy of the set-up inputs, their fingerprint), so a
-        #: replayed epoch hashes its set-up inputs only when they changed
+        #: (pickle of the set-up inputs, their fingerprint), so a replayed
+        #: epoch hashes its set-up inputs only when they changed
         self._setup_memo: Optional[tuple] = None
         if resume and self.checkpoint_path.exists():
             self._load_journal()
@@ -135,9 +138,7 @@ class ContinuousBenchmarking:
         #: rescan — with events bit-identical to the batch path (the
         #: engine's contract).  Built after any journal load so it wraps
         #: the restored database.
-        self.analysis = AnalysisEngine(
-            self.db, threshold=0.10, window=2, session=self.session,
-        )
+        self.analysis = AnalysisEngine(self.db, threshold=0.10, window=2)
 
     @classmethod
     def open(cls, workdir: Path | str) -> "ContinuousBenchmarking":
@@ -163,6 +164,7 @@ class ContinuousBenchmarking:
         """The campaign journal: a header line, then one line per epoch."""
         return self.workdir / JOURNAL
 
+    @annotate("journal.append")
     def _append(self, line: str) -> None:
         """Append one epoch's encoded line — the only write the campaign
         state gets, so its cost does not grow with the history."""
@@ -247,12 +249,11 @@ class ContinuousBenchmarking:
 
     def _setup_inputs(self) -> Dict[str, Any]:
         """Everything workspace set-up and analysis consume, looked up
-        afresh as plain data that compares by value: the generated
-        ramble.yaml, the registry's descriptor of the system (with the
-        packages and compilers its Spack runtime reads), the digest of each
-        package repository, and what set-up and analysis read of the
-        application — its executables, inputs, workloads, figures of merit
-        and success criteria."""
+        afresh as plain data: the generated ramble.yaml, the registry's
+        descriptor of the system (with the packages and compilers its Spack
+        runtime reads), the digest of each package repository, and what
+        set-up and analysis read of the application — its executables,
+        inputs, workloads, figures of merit and success criteria."""
         desc = get_system(self.system_name)
         app = builtin_applications().get(self.benchmark_name)
         return {
@@ -274,13 +275,15 @@ class ContinuousBenchmarking:
 
     def _setup_key(self) -> str:
         """Fingerprint of :meth:`_setup_inputs`, hashed again only when
-        they change.  The memo keeps a deep copy of the inputs it hashed,
-        so an edit in place, however deeply nested, fails the comparison
-        and is hashed.  Values compare with ``==``: an edit to an equal
-        value of another type (``1`` → ``1.0``) keeps the key."""
+        they change.  The memo keeps the pickle of the inputs it hashed, so
+        an edit in place, however deeply nested, or to an equal value of
+        another type (``36`` → ``36.0``) changes the pickle and is hashed.
+        Equal inputs that share objects differently pickle differently too;
+        that costs one more hash, never a stale key."""
         inputs = self._setup_inputs()
-        if self._setup_memo is None or inputs != self._setup_memo[0]:
-            self._setup_memo = (copy.deepcopy(inputs), fingerprint(inputs))
+        snapshot = pickle.dumps(inputs, pickle.HIGHEST_PROTOCOL)
+        if self._setup_memo is None or snapshot != self._setup_memo[0]:
+            self._setup_memo = (snapshot, fingerprint(inputs))
         return self._setup_memo[1]
 
     def _ingest(self, line: Dict[str, Any]) -> int:
@@ -343,54 +346,56 @@ class ContinuousBenchmarking:
         faulted epochs are never cached, so a replay always stands for a
         deterministic, converged run.
         """
-        epoch = self.epochs_run
-        system = self.schedule.system_at(self.base_system, epoch)
-        setup_key = self._setup_key()
-        key = self._epoch_key(system, epoch, setup_key)
-        entry = self.result_cache.get(key)
-        if entry is not None:
-            with self.session.region("epoch:replay"):
-                return self._commit(
-                    {"key": key, "replayed": entry["epoch"]}, entry)
-        # set the campaign workspace up only when its inputs changed (or on
-        # this process's first cold epoch); else run its experiments again
-        if self._workspace is None or self._workspace[0] != setup_key:
-            with self.session.region("epoch:setup"):
-                shutil.rmtree(self.workspace_dir, ignore_errors=True)
-                benchpark = benchpark_setup(
-                    self.experiment, self.system_name, self.workspace_dir)
-                benchpark.setup()
-            self._workspace = (setup_key, benchpark.workspace)
-        with self.session.region("epoch:run"):
-            workspace = self._workspace[1].rerooted(
-                self.workdir / f"epoch-{epoch}")
-            outcomes = workspace.run(self._executor(system, epoch))
-        with self.session.region("epoch:analyze"):
-            results = workspace.analyze()
-        # every run that was retried, flaky or not completed (a refused run
-        # made 0 attempts) goes into the attempt history
-        meta: Dict[str, Any] = {}
-        for o in outcomes:
-            attempts = int(o.get("attempts", 1))
-            flaky = bool(o.get("flaky", False))
-            state = o.get("state", "completed")
-            if attempts != 1 or flaky or state != "completed":
-                meta[o["experiment"]] = {
-                    "attempts": attempts,
-                    "flaky": flaky,
-                    "fault_kinds": list(o.get("fault_kinds", [])),
-                    "total_backoff_s": float(o.get("total_backoff_s", 0.0)),
-                    "state": state,
-                }
-        line: Dict[str, Any] = {"attempts": meta}
-        entry = {"results": results, "epoch": epoch}
-        # only a clean epoch — every run converged on its first attempt
-        # with no fault — is safe to serve from the cache later
-        if not meta and all(
-                int(o.get("returncode", 0) or 0) == 0 for o in outcomes):
-            self.result_cache.put(key, entry)
-            line["key"] = key
-        return self._commit(line, entry)
+        with self.session.activate():
+            epoch = self.epochs_run
+            system = self.schedule.system_at(self.base_system, epoch)
+            setup_key = self._setup_key()
+            key = self._epoch_key(system, epoch, setup_key)
+            entry = self.result_cache.get(key)
+            if entry is not None:
+                with region("epoch:replay"):
+                    return self._commit(
+                        {"key": key, "replayed": entry["epoch"]}, entry)
+            # set the workspace up only when its inputs changed (or on this
+            # process's first cold epoch); else run its experiments again
+            if self._workspace is None or self._workspace[0] != setup_key:
+                with region("epoch:setup"):
+                    shutil.rmtree(self.workspace_dir, ignore_errors=True)
+                    benchpark = benchpark_setup(
+                        self.experiment, self.system_name, self.workspace_dir)
+                    benchpark.setup()
+                self._workspace = (setup_key, benchpark.workspace)
+            with region("epoch:run"):
+                workspace = self._workspace[1].rerooted(
+                    self.workdir / f"epoch-{epoch}")
+                outcomes = workspace.run(self._executor(system, epoch))
+            with region("epoch:analyze"):
+                results = workspace.analyze()
+            # every run that was retried, flaky or not completed (a refused
+            # run made 0 attempts) goes into the attempt history
+            meta: Dict[str, Any] = {}
+            for o in outcomes:
+                attempts = int(o.get("attempts", 1))
+                flaky = bool(o.get("flaky", False))
+                state = o.get("state", "completed")
+                if attempts != 1 or flaky or state != "completed":
+                    meta[o["experiment"]] = {
+                        "attempts": attempts,
+                        "flaky": flaky,
+                        "fault_kinds": list(o.get("fault_kinds", [])),
+                        "total_backoff_s": float(
+                            o.get("total_backoff_s", 0.0)),
+                        "state": state,
+                    }
+            line: Dict[str, Any] = {"attempts": meta}
+            entry = {"results": results, "epoch": epoch}
+            # only a clean epoch — every run converged on its first attempt
+            # with no fault — is safe to serve from the cache later
+            if not meta and all(
+                    int(o.get("returncode", 0) or 0) == 0 for o in outcomes):
+                self.result_cache.put(key, entry)
+                line["key"] = key
+            return self._commit(line, entry)
 
     def run(self, epochs: int) -> "ContinuousBenchmarking":
         """Run ``epochs`` *additional* epochs."""
@@ -414,11 +419,13 @@ class ContinuousBenchmarking:
         the samples recorded since its last scan, so the per-epoch cost
         stays O(new) as history grows.
         """
-        return self.analysis.scan([
-            (self.benchmark_name, self.system_name, fom_name, higher_is_better)
-            for fom_name, higher_is_better in TRACKED_FOMS.get(
-                self.benchmark_name, [])
-        ])
+        with self.session.activate():
+            return self.analysis.scan([
+                (self.benchmark_name, self.system_name, fom_name,
+                 higher_is_better)
+                for fom_name, higher_is_better in TRACKED_FOMS.get(
+                    self.benchmark_name, [])
+            ])
 
     def history(self, fom_name: str) -> List[tuple]:
         """(epoch, mean value) series for one FOM, flaky samples

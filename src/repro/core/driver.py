@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import yaml
 
+from repro.analysis.caliper import annotate
 from repro.ramble import Workspace
 from repro.spack import BinaryCache
 from repro.systems import SystemDescriptor, SystemExecutor, get_system
@@ -98,6 +99,7 @@ def workspace_config(experiment: str,
     return config
 
 
+@annotate("driver.benchpark_setup")
 def benchpark_setup(experiment: str, system: str,
                     workspace_dir: Path | str,
                     log: Optional[List[str]] = None) -> "BenchparkSession":

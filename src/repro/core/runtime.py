@@ -12,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional
 
+from repro.analysis.caliper import annotate
 from repro.archspec import get_target
 from repro.spack import (
     BinaryCache,
@@ -54,10 +55,12 @@ class SpackRuntime:
         self.installer = Installer(self.store, binary_cache=binary_cache)
 
     # -- the Ramble-facing interface ---------------------------------------
+    @annotate("concretizer.concretize_together")
     def concretize_together(self, specs: List[Spec | str],
                             unify: bool = True) -> List[Spec]:
         return self.concretizer.concretize_together(list(specs), unify=unify)
 
+    @annotate("installer.install")
     def install(self, spec: Spec) -> List[BuildResult]:
         return self.installer.install(spec)
 

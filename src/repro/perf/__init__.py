@@ -11,10 +11,10 @@ Two primitives shared by every layer of the reproduction:
   them back on resume.
 
 Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
-critical-path-charged DAG installs (:mod:`repro.spack.installer`), cached
-CI jobs (:mod:`repro.ci.pipeline`), and epoch-level result reuse
-(:mod:`repro.core.continuous`).  Stage timings are Caliper regions
-(:mod:`repro.analysis.caliper`).
+cached CI jobs (:mod:`repro.ci.pipeline`), and epoch-level result reuse
+(:mod:`repro.core.continuous`).  Stage timings are Caliper regions on the
+active session (:mod:`repro.analysis.caliper`); every ``fingerprint`` call
+is one.
 """
 
 from .content_store import ContentStore

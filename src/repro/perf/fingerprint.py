@@ -29,12 +29,16 @@ The encoder writes other keys as text (``1`` and ``"1"`` collide), and a
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import inspect
 import json
+import linecache
 from pathlib import Path
-from typing import Any
+from typing import Any, Dict, List, Tuple
+
+from repro.analysis.caliper import annotate
 
 __all__ = [
     "fingerprint",
@@ -60,6 +64,48 @@ def _is_package_class(obj: Any) -> bool:
         and hasattr(obj, "variants")
         and hasattr(obj, "dependencies")
     )
+
+
+#: source file -> (its lines, {class qualname: class source}): one parse
+#: per file, and again only when ``linecache`` reloads the file
+_class_sources: Dict[str, Tuple[List[str], Dict[str, str]]] = {}
+
+
+def _classes(lines: List[str]) -> Dict[str, str]:
+    """The source of every class a module defines at its top level or
+    inside such a class, by qualified name: from its first decorator to its
+    last line, as ``inspect.getsource`` gives it."""
+    sources: Dict[str, str] = {}
+
+    def visit(body, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                name = prefix + node.name
+                first = (node.decorator_list[0].lineno if node.decorator_list
+                         else node.lineno)
+                sources.setdefault(
+                    name, "".join(lines[first - 1:node.end_lineno]))
+                visit(node.body, name + ".")
+
+    visit(ast.parse("".join(lines)).body, "")
+    return sources
+
+
+def _class_source(cls: type) -> str:
+    """``inspect.getsource(cls)``, parsing each module once rather than once
+    per class.  A class the parse cannot place — one defined inside a
+    function, or made by ``type()`` — is left to ``inspect``."""
+    path = inspect.getsourcefile(cls)
+    if path:
+        linecache.checkcache(path)  # a file edited on disk is read again
+        lines = linecache.getlines(path)
+        cached = _class_sources.get(path)
+        if cached is None or cached[0] is not lines:
+            cached = _class_sources[path] = (lines, _classes(lines))
+        source = cached[1].get(cls.__qualname__)
+        if source is not None:
+            return source
+    return inspect.getsource(cls)
 
 
 def package_signature(cls: type) -> dict:
@@ -110,7 +156,7 @@ def package_signature(cls: type) -> dict:
         },
     }
     try:
-        sig["source"] = _hash_text(inspect.getsource(cls))
+        sig["source"] = _hash_text(_class_source(cls))
     except (OSError, TypeError):
         # dynamically created classes (tests) have no retrievable source;
         # the declared metadata above still distinguishes them
@@ -147,6 +193,7 @@ def _dumps(obj: Any) -> str:
                       default=_encode)
 
 
+@annotate("fingerprint")
 def fingerprint(obj: Any, length: int = DIGEST_LEN) -> str:
     """Stable content hash of any pipeline input (hex, ``length`` chars)."""
     return _hash_text(_dumps(obj))[:length]

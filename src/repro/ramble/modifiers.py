@@ -9,7 +9,8 @@ future work so the analysis pipeline can exercise them:
 * :class:`HardwareCountersModifier` — appends a per-run counter report
   (simulated from the benchmark's own metrics) and FOMs to parse it;
 * :class:`CaliperModifier` — turns on always-on Caliper profiling
-  (:mod:`repro.analysis.caliper`) around the run.
+  (:mod:`repro.analysis.caliper`) around the run, and notes in the log
+  whether a session was active to record it.
 """
 
 from __future__ import annotations
@@ -88,10 +89,9 @@ class CaliperModifier(Modifier):
         return {"CALI_CONFIG": "runtime-report,profile"}
 
     def extra_output(self, experiment, stdout: str) -> str:
-        from repro.analysis.caliper import global_session
+        from repro.analysis.caliper import active_session
 
-        profile = global_session().last_profile()
-        if profile is None:
+        if active_session() is None:
             return ""
         return "# caliper profile attached\n"
 

@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import yaml
 
+from repro.analysis.caliper import annotate
 from repro.spack import Spec
 
 from .application import SuccessCriterionDef
@@ -173,6 +174,7 @@ class Workspace:
     # ------------------------------------------------------------------
     # workspace setup
     # ------------------------------------------------------------------
+    @annotate("workspace.setup")
     def setup(self, spack_runtime=None,
               extra_variables: Optional[Mapping[str, Any]] = None
               ) -> List[Experiment]:
@@ -424,6 +426,7 @@ class Workspace:
     # ------------------------------------------------------------------
     # workspace analyze
     # ------------------------------------------------------------------
+    @annotate("fom.analyze")
     def analyze(self) -> Dict[str, Any]:
         """Extract figures of merit and evaluate success criteria
         (``ramble workspace analyze``); writes results.latest.json."""

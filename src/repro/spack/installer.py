@@ -26,7 +26,7 @@ from .repository import RepoPath, default_repo_path
 from .spec import Spec, SpecError
 from .store import Store
 
-__all__ = ["Installer", "BuildResult", "InstallError", "topological_levels"]
+__all__ = ["Installer", "BuildResult", "InstallError"]
 
 #: Simulated source-build cost in seconds per package (defaults to 30).
 #: Numbers are loosely scaled from real Spack build times.
@@ -70,30 +70,10 @@ class BuildResult:
         self.seconds = seconds
         self.prefix = prefix
         self.phases = phases
-        #: simulated-clock interval: a node starts when its slowest
-        #: dependency finishes, so the DAG's makespan is the critical path,
-        #: not the serial sum
-        self.sim_start: float = 0.0
-        self.sim_end: float = seconds
 
     def __repr__(self):
         return (f"BuildResult({self.spec.name}@{self.spec.version} "
                 f"{self.action} {self.seconds:.1f}s)")
-
-
-def topological_levels(spec: Spec) -> List[List[Spec]]:
-    """Group a concrete DAG's nodes into dependency levels: every node in
-    level *k* depends only on nodes in levels < *k*, so each level can be
-    installed concurrently once the previous ones are done."""
-    nodes = list(spec.traverse(order="post"))  # deps before dependents
-    depth: Dict[str, int] = {}
-    for node in nodes:
-        deps = list(node.dependencies.values())
-        depth[node.name] = 1 + max((depth[d.name] for d in deps), default=-1)
-    levels: List[List[Spec]] = [[] for _ in range(max(depth.values(), default=0) + 1)]
-    for node in nodes:  # post-order keeps intra-level ordering deterministic
-        levels[depth[node.name]].append(node)
-    return levels
 
 
 class Installer:
@@ -110,53 +90,27 @@ class Installer:
         self.repo = repo_path or default_repo_path()
         self.cache = binary_cache
         self.use_cache = use_cache and binary_cache is not None
-        #: filled by every install(): serial-sum vs critical-path accounting
-        self.last_install_stats: Dict[str, float] = {}
 
     def install(self, spec: Spec, explicit: bool = True) -> List[BuildResult]:
         """Install ``spec`` and its dependencies; returns per-node results
         in installation (topological post-) order.
 
-        Nodes install one at a time, dependencies first.  The simulated
-        clock charges each node from the finish time of its slowest
-        dependency, as a level-parallel scheduler would — so the DAG's
-        simulated makespan is its *critical path*, not the serial sum of
-        build times.
+        Nodes install one at a time, dependencies first.  What a parallel
+        build farm would take for the same DAG — its critical path and its
+        makespan under ``k`` build jobs — is :mod:`repro.spack.graph`'s
+        answer.
         """
         if not spec.concrete:
             raise InstallError(
                 f"only concrete specs can be installed, got {spec.format()!r} "
                 f"(run the concretizer first)"
             )
-        nodes = list(spec.traverse(order="post"))
         root_hash = spec.dag_hash()
-        by_name: Dict[str, BuildResult] = {}
-        for node in nodes:
-            is_root = node.dag_hash() == root_hash
-            by_name[node.name] = self._install_node(
-                node, explicit=explicit and is_root)
-
-        # Simulated clock: start = slowest direct dependency's finish.
-        finish: Dict[str, float] = {}
-        for node in nodes:  # post-order: deps already have finish times
-            result = by_name[node.name]
-            start = max(
-                (finish[d.name] for d in node.dependencies.values()),
-                default=0.0,
-            )
-            result.sim_start = start
-            result.sim_end = start + result.seconds
-            finish[node.name] = result.sim_end
-        serial = sum(r.seconds for r in by_name.values())
-        critical = max(finish.values(), default=0.0)
-        self.last_install_stats = {
-            "nodes": float(len(nodes)),
-            "levels": float(len(topological_levels(spec))),
-            "serial_seconds": serial,
-            "critical_path_seconds": critical,
-            "parallel_speedup": (serial / critical) if critical > 0 else 1.0,
-        }
-        return [by_name[node.name] for node in nodes]
+        return [
+            self._install_node(
+                node, explicit=explicit and node.dag_hash() == root_hash)
+            for node in spec.traverse(order="post")
+        ]
 
     def _install_node(self, spec: Spec, explicit: bool) -> BuildResult:
         if spec.external:

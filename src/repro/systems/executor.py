@@ -18,6 +18,8 @@ system scheduler.  Offline we provide two executors with the same interface
 
 Both append the scheduler preamble handling a real submission would do, so
 the pipeline (script → run → log → FOM regex) is identical either way.
+Each benchmark call is a ``kernel.<name>`` Caliper region on the active
+session, inside :class:`SystemExecutor`'s ``executor.execute`` region.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import hashlib
 import shlex
 import time
 from typing import Any, Dict, Iterator, List
+
+from repro.analysis.caliper import annotate, region
 
 from .descriptor import SystemDescriptor
 from .performance import scale_compute_time
@@ -136,7 +140,8 @@ class _Dispatch:
         from repro.benchmarks.saxpy import run_saxpy
 
         n = int(self._flag(argv, "-n", "1"))
-        result = run_saxpy(n, n_ranks=n_ranks, world=self._world(n_ranks))
+        with region("kernel.saxpy"):
+            result = run_saxpy(n, n_ranks=n_ranks, world=self._world(n_ranks))
         return result.report() + "\n"
 
     def _run_amg(self, argv: List[str], n_ranks: int) -> str:
@@ -145,8 +150,9 @@ class _Dispatch:
         problem = int(self._flag(argv, "-problem", "1"))
         n = int(self._flag(argv, "-n", "16"))
         ranks = int(self._flag(argv, "-ranks", str(n_ranks)))
-        result = run_amg(problem=problem, n=n, n_ranks=max(ranks, n_ranks),
-                         world=self._world(max(ranks, n_ranks)))
+        with region("kernel.amg"):
+            result = run_amg(problem=problem, n=n, n_ranks=max(ranks, n_ranks),
+                             world=self._world(max(ranks, n_ranks)))
         return result.report() + "\n"
 
     def _run_stream(self, argv: List[str], n_ranks: int) -> str:
@@ -154,7 +160,9 @@ class _Dispatch:
 
         n = int(self._flag(argv, "-n", "1000000"))
         ntimes = int(self._flag(argv, "--ntimes", "10"))
-        return run_stream(n, ntimes).report() + "\n"
+        with region("kernel.stream"):
+            result = run_stream(n, ntimes)
+        return result.report() + "\n"
 
     def _run_qs(self, argv: List[str], n_ranks: int) -> str:
         from repro.benchmarks.quicksilver import run_quicksilver
@@ -162,8 +170,9 @@ class _Dispatch:
         n = int(self._flag(argv, "-n", "100000"))
         slab = float(self._flag(argv, "--slab", "10.0"))
         ranks = int(self._flag(argv, "--ranks", str(n_ranks)))
-        result = run_quicksilver(n, slab, n_ranks=max(ranks, n_ranks),
-                                 world=self._world(max(ranks, n_ranks)))
+        with region("kernel.quicksilver"):
+            result = run_quicksilver(n, slab, n_ranks=max(ranks, n_ranks),
+                                     world=self._world(max(ranks, n_ranks)))
         return result.report() + "\n"
 
     def _run_osu_bcast(self, argv: List[str], n_ranks: int) -> str:
@@ -173,10 +182,11 @@ class _Dispatch:
         ranks = int(self._flag(argv, "--ranks", str(n_ranks)))
         max_size = int(self._flag(argv, "--max-size", "65536"))
         iterations = int(self._flag(argv, "--iterations", "100"))
-        result = run_collective(
-            op, n_ranks=max(ranks, n_ranks), max_size=max_size,
-            iterations=iterations, interconnect=self.interconnect,
-        )
+        with region("kernel.osu"):
+            result = run_collective(
+                op, n_ranks=max(ranks, n_ranks), max_size=max_size,
+                iterations=iterations, interconnect=self.interconnect,
+            )
         return result.report() + "\n"
 
 
@@ -240,6 +250,7 @@ class SystemExecutor:
                 return True
         return False
 
+    @annotate("executor.execute")
     def execute(self, experiment) -> Dict[str, Any]:
         out = [f"# executing on {self.system.name} ({self.system.site})\n"]
         use_gpu = self._uses_gpu(experiment) and self.system.has_gpu

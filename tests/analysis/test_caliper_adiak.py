@@ -1,9 +1,17 @@
 """Tests for the Caliper and Adiak substrates (§5)."""
 
+from contextlib import ExitStack
+
 import pytest
 
 from repro.analysis import adiak
-from repro.analysis.caliper import CaliperSession, Profile, region
+from repro.analysis.caliper import (
+    CaliperSession,
+    Profile,
+    active_session,
+    annotate,
+    region,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -101,12 +109,18 @@ class TestCaliper:
     def test_decorator(self):
         s = CaliperSession(clock=FakeClock())
 
-        @s.annotate()
+        @annotate()
         def work():
             return 42
 
-        assert work() == 42
-        assert "work" in s.flush().regions()
+        @annotate("named")
+        def other():
+            return work()
+
+        with s.activate():
+            assert work() == 42
+            assert other() == 42
+        assert set(s.flush().regions()) == {"work", "named", "named/work"}
 
     def test_exception_still_closes_region(self):
         s = CaliperSession(clock=FakeClock())
@@ -137,13 +151,17 @@ class TestCaliper:
         assert again.metadata["system"] == "cts1"
         assert again.regions()["a/b"].inclusive == pytest.approx(2.0)
 
-    def test_global_session_region(self):
-        from repro.analysis.caliper import global_session
-
-        with region("global_work"):
-            pass
-        profile = global_session().flush()
-        assert "global_work" in profile.regions()
+    def test_region_records_into_active_session(self):
+        s = CaliperSession(clock=FakeClock())
+        with s.activate() as active:
+            assert active is s and active_session() is s
+            with region("outer"):
+                with region("inner"):
+                    pass
+        assert active_session() is None
+        regions = s.flush().regions()
+        assert set(regions) == {"outer", "outer/inner"}
+        assert regions["outer/inner"].visits == 1
 
     def test_flush_merges_adiak_metadata(self):
         adiak.value("nprocs", 64)
@@ -153,6 +171,77 @@ class TestCaliper:
         profile = s.flush(metadata={"run": 1})
         assert profile.metadata["nprocs"] == 64
         assert profile.metadata["run"] == 1
+
+
+class TestActiveSession:
+    """The one channel: module-level annotations go to the innermost
+    active session, and nowhere when none is active."""
+
+    def test_nothing_recorded_without_an_active_session(self):
+        s = CaliperSession(clock=FakeClock())
+
+        @annotate("decorated")
+        def work():
+            return 7
+
+        assert active_session() is None
+        with region("loose"):
+            assert work() == 7
+        with s.activate():
+            pass
+        assert s.regions() == {}
+        assert s.flush().regions() == {}
+
+    def test_nested_activations(self):
+        outer, inner = CaliperSession(), CaliperSession()
+        with outer.activate():
+            with region("a"):
+                with inner.activate():
+                    assert active_session() is inner
+                    with region("b"):
+                        pass
+                    with outer.activate():  # re-activation nests too
+                        with region("c"):
+                            pass
+                    assert active_session() is inner
+                assert active_session() is outer
+        assert active_session() is None
+        assert set(outer.flush().regions()) == {"a", "a/c"}
+        assert set(inner.flush().regions()) == {"b"}
+
+    def test_region_ends_on_the_session_it_began_on(self):
+        first, second = CaliperSession(), CaliperSession()
+        with ExitStack() as open_regions:
+            with first.activate():
+                open_regions.enter_context(region("spans"))
+            with second.activate():
+                with region("inside"):
+                    pass
+                open_regions.close()  # "spans" ends while second is active
+        assert first.regions()["spans"].visits == 1
+        assert set(second.regions()) == {"inside"}
+        first.flush()  # no open region left on either
+        second.flush()
+
+    def test_decorated_exception_closes_region(self):
+        s = CaliperSession(clock=FakeClock())
+
+        @annotate("risky")
+        def boom():
+            raise ValueError("boom")
+
+        with s.activate():
+            with pytest.raises(ValueError):
+                boom()
+        assert active_session() is None
+        assert s.flush().regions()["risky"].visits == 1
+
+    def test_activation_ends_on_exception(self):
+        s = CaliperSession()
+        with pytest.raises(KeyError):
+            with s.activate():
+                raise KeyError("x")
+        assert active_session() is None
 
 
 class TestAdiak:

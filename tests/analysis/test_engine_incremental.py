@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AnalysisEngine, SeriesState
+from repro.analysis import AnalysisEngine, CaliperSession, SeriesState
 from repro.analysis.regression import epoch_means
 from repro.ci import MetricsDatabase
 
@@ -144,8 +144,10 @@ class TestEngineScanParity:
         engine = AnalysisEngine(db, threshold=0.10, window=3)
         for epoch in range(8):
             self._record_epoch(db, epoch)
-        engine.scan(self.TARGETS)
-        regions = engine.session.regions()
+        session = CaliperSession()
+        with session.activate():
+            engine.scan(self.TARGETS)
+        regions = session.regions()
         assert regions["analysis:scan"].visits == 1
         # one detect per target, nested under the scan that ran it
         assert regions["analysis:scan/analysis:detect"].visits == len(

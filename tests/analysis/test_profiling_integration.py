@@ -20,7 +20,8 @@ def profile_amg(n: int, run_id: int):
     session = CaliperSession()
     adiak.value("problem_size", n)
     adiak.value("run", run_id)
-    result = run_amg(problem=1, n=n, caliper_session=session)
+    with session.activate():
+        result = run_amg(problem=1, n=n)
     return session.flush(), result
 
 
@@ -44,7 +45,8 @@ class TestAnnotatedAmg:
 
     def test_profiling_does_not_change_results(self):
         session = CaliperSession()
-        with_profiling = run_amg(problem=1, n=8, caliper_session=session)
+        with session.activate():
+            with_profiling = run_amg(problem=1, n=8)
         session.flush()
         without = run_amg(problem=1, n=8)
         assert with_profiling.stats.iterations == without.stats.iterations

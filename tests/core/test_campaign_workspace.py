@@ -274,6 +274,25 @@ def _edit_equal_copy(mp, n: int):
         packages["mvapich2"])))
 
 
+def _edit_int_to_float(mp, n: int):
+    """Replace the system with one whose core count is an equal number of
+    the other type: 36 becomes 36.0, and 36.0 becomes 36 again."""
+    desc = get_system(SYSTEM)
+    cores = desc.cores_per_node
+    mp.setitem(SYSTEMS, SYSTEM, dataclasses.replace(
+        desc, cores_per_node=float(cores) if isinstance(cores, int)
+        else int(cores)))
+
+
+def _edit_bool_to_int(mp, n: int):
+    """Store an equal number of the other type in place: the mvapich2
+    entry's ``buildable: false`` becomes 0, and 0 becomes false again."""
+    entry = get_system(SYSTEM).packages_config["mvapich2"]
+    value = entry["buildable"]
+    mp.setitem(entry, "buildable",
+               int(value) if isinstance(value, bool) else bool(value))
+
+
 MEMO_EDITS = dict(EDITS, **{
     "nested-packages": _edit_nested_packages,
     "compilers": _edit_compilers,
@@ -281,6 +300,8 @@ MEMO_EDITS = dict(EDITS, **{
     "fom-units": _edit_fom_units,
     "fom-regex": _edit_fom_regex,
     "equal-copy": _edit_equal_copy,
+    "int-to-float": _edit_int_to_float,
+    "bool-to-int": _edit_bool_to_int,
 })
 
 
@@ -305,6 +326,18 @@ class TestSetupKeyMemo:
                 assert keys[-1] == fingerprint(campaign._setup_inputs()), \
                     f"stale set-up key after {edit!r}"
             assert _setup_visits(campaign) <= len(set(keys))
+
+    @pytest.mark.parametrize("edit", ["int-to-float", "bool-to-int"])
+    def test_equal_value_of_another_type_is_hashed(self, tmp_path,
+                                                   monkeypatch, edit):
+        """``36`` → ``36.0`` and ``False`` → ``0`` compare equal but encode
+        differently: the memo must hash them again, not keep the old key."""
+        campaign = ContinuousBenchmarking(EXPERIMENT, SYSTEM, tmp_path)
+        before = campaign._setup_key()
+        MEMO_EDITS[edit](monkeypatch, 1)
+        after = campaign._setup_key()
+        assert after == fingerprint(campaign._setup_inputs())
+        assert after != before
 
     @pytest.mark.parametrize("edit", ["units", "criterion"])
     def test_analysis_edit_is_not_replayed(self, tmp_path, monkeypatch, edit):

@@ -7,6 +7,10 @@ when the walker's canonical texts of them are equal.
 """
 
 import dataclasses
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +27,9 @@ from repro.spack.concretizer import clear_concretization_memo
 from repro.spack.repository import builtin_repo
 
 from .fingerprint_oracle import canonical_text
+
+# the package attribute of this name is the function
+fingerprint_module = importlib.import_module("repro.perf.fingerprint")
 
 
 class TestFingerprint:
@@ -82,6 +89,70 @@ class TestFingerprint:
         assert fingerprint(cls) == fingerprint({"__package__": sig})
         assert fingerprint(cls) != fingerprint(
             builtin_repo().get_class("stream"))
+
+
+#: ``builtin_repo().fingerprint()`` when every recipe's source was read
+#: through ``inspect.getsource``
+BUILTIN_REPO_DIGEST = "7e9d895b208fb9a6"
+
+
+class TestClassSource:
+    """Recipe sources come from one parse per module, and equal what
+    ``inspect.getsource`` gives, so no digest moves."""
+
+    def test_equals_inspect_for_every_builtin_recipe(self):
+        repo = builtin_repo()
+        names = repo.all_package_names()
+        assert len(names) == 20
+        for name in names:
+            cls = repo.get_class(name)
+            assert (fingerprint_module._class_source(cls)
+                    == inspect.getsource(cls)), name
+
+    def test_builtin_repo_digest_unchanged(self):
+        fresh = type(builtin_repo())(builtin_repo().namespace)
+        for name in builtin_repo().all_package_names():
+            fresh.register(builtin_repo().get_class(name))
+        assert fresh.fingerprint() == BUILTIN_REPO_DIGEST
+
+    def test_one_parse_per_module(self, monkeypatch):
+        parses = []
+        parse = fingerprint_module.ast.parse
+        monkeypatch.setattr(fingerprint_module.ast, "parse",
+                            lambda text: parses.append(1) or parse(text))
+        monkeypatch.setattr(fingerprint_module, "_class_sources", {})
+        repo = builtin_repo()
+        for name in repo.all_package_names():
+            package_signature(repo.get_class(name))
+        assert len(parses) == 1
+
+    def test_unplaced_class_falls_back_to_inspect(self):
+        class Local:  # defined in a function: no module-level definition
+            x = 1
+
+        assert (fingerprint_module._class_source(Local)
+                == inspect.getsource(Local))
+        made = type("Made", (), {"__module__": __name__})
+        for source in (fingerprint_module._class_source, inspect.getsource):
+            try:
+                source(made)
+            except OSError:
+                continue
+            raise AssertionError(f"{source.__name__} found a source")
+
+    def test_edited_file_is_read_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "recipe_mod.py"
+        path.write_text("class Recipe:\n    x = 1\n")
+        spec = importlib.util.spec_from_file_location("recipe_mod", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "recipe_mod", module)
+        spec.loader.exec_module(module)
+        before = fingerprint_module._class_source(module.Recipe)
+        path.write_text("class Recipe:\n    x = 12345\n")
+        after = fingerprint_module._class_source(module.Recipe)
+        assert before == "class Recipe:\n    x = 1\n"
+        assert after == "class Recipe:\n    x = 12345\n"
+        assert after == inspect.getsource(module.Recipe)
 
 
 @dataclasses.dataclass

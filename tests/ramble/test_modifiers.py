@@ -1,6 +1,7 @@
 """Tests for modifiers (§4.5's hardware counters etc.) and their wiring
 into the workspace run/analyze pipeline."""
 
+from repro.analysis.caliper import CaliperSession, region
 from repro.ramble import Workspace
 from repro.ramble.modifiers import (
     CaliperModifier,
@@ -87,3 +88,40 @@ class TestBaseModifier:
         ws.run(LocalExecutor(), modifiers=[CaliperModifier()])
         assert ws.experiments[0].variables["env_CALI_CONFIG"] == \
             "runtime-report,profile"
+
+
+class TestCaliperModifierLog:
+    """The log a Caliper-modified run writes depends on whether a session
+    records the run, never on what the process flushed before."""
+
+    @staticmethod
+    def _log(path) -> str:
+        ws = Workspace.create(path, config=saxpy_config())
+        ws.setup()
+        ws.run(LocalExecutor(), modifiers=[CaliperModifier()])
+        return ws.experiments[0].log_file.read_text()
+
+    @staticmethod
+    def _masked(log: str) -> str:
+        # the kernel's own timings differ from run to run
+        return "\n".join(line for line in log.splitlines()
+                         if "time" not in line.lower()
+                         and "bandwidth" not in line.lower())
+
+    def test_same_log_whatever_ran_before(self, tmp_path):
+        fresh = self._log(tmp_path / "fresh")
+        session = CaliperSession()
+        with session.activate():
+            with region("earlier"):
+                pass
+            recorded = self._log(tmp_path / "recorded")
+        session.flush()
+        with region("stray"):
+            pass
+        after_flush = self._log(tmp_path / "after-flush")
+        assert self._masked(after_flush) == self._masked(fresh)
+        assert "caliper profile attached" not in fresh
+        with session.activate():
+            recorded_again = self._log(tmp_path / "recorded-again")
+        assert self._masked(recorded_again) == self._masked(recorded)
+        assert recorded.endswith("# caliper profile attached\n")
