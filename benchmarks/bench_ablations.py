@@ -13,8 +13,13 @@ import numpy as np
 
 from repro.benchmarks.amg import amg_solve, build_hierarchy, poisson_2d, run_amg
 from repro.ramble.matrices import expand_matrix
-from repro.spack import BinaryCache, Concretizer, Environment, Installer, Store
-from repro.systems import BatchScheduler, Job, get_system
+from repro.spack.binary_cache import BinaryCache
+from repro.spack.concretizer import Concretizer
+from repro.spack.environment import Environment
+from repro.spack.installer import Installer
+from repro.spack.store import Store
+from repro.systems.registry import get_system
+from repro.systems.scheduler import BatchScheduler, Job
 
 
 def test_ablation_unify(artifact, tmp_path):

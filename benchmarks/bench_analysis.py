@@ -32,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import (CaliperSession, RegressionDetector, region,
-                            render_report)
+from repro.analysis.caliper import CaliperSession, region
+from repro.analysis.dashboard import render_report
 from repro.analysis.engine import AnalysisEngine
-from repro.ci import MetricsDatabase
+from repro.analysis.regression import RegressionDetector
+from repro.ci.metricsdb import MetricsDatabase
 
 SYSTEMS = ("cts1", "tioga", "sierra")
 BENCHMARKS = ("stream", "amg2023", "quicksilver")

@@ -7,15 +7,11 @@ makespans at 1/2/4/8 build jobs — then verifies the cache turns all of it
 into near-free extracts.
 """
 
-from repro.spack import (
-    BinaryCache,
-    Concretizer,
-    Installer,
-    Store,
-    critical_path,
-    graph_stats,
-    parallel_makespan,
-)
+from repro.spack.binary_cache import BinaryCache
+from repro.spack.concretizer import Concretizer
+from repro.spack.graph import critical_path, graph_stats, parallel_makespan
+from repro.spack.installer import Installer
+from repro.spack.store import Store
 
 
 def test_build_parallelism(benchmark, artifact):

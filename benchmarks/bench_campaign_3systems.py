@@ -8,9 +8,9 @@ data").  Shape checks: GPU systems beat the CPU-only system on the
 memory-bound FOMs, matching the hardware the paper describes.
 """
 
-from repro.analysis import render_grid
-from repro.ci import MetricsDatabase
-from repro.core import benchpark_setup
+from repro.analysis.dashboard import render_grid
+from repro.ci.metricsdb import MetricsDatabase
+from repro.core.driver import benchpark_setup
 
 SYSTEMS = ("cts1", "ats2", "ats4")
 EXPERIMENTS = ("saxpy/openmp", "amg2023/openmp")

@@ -14,10 +14,11 @@ jitter) shows up as higher run-to-run variance on the cloud system.
 
 import statistics
 
-from repro.archspec import get_target
-from repro.ci import MetricsDatabase
-from repro.core import benchpark_setup
-from repro.systems import SystemExecutor, get_system
+from repro.archspec.database import get_target
+from repro.ci.metricsdb import MetricsDatabase
+from repro.core.driver import benchpark_setup
+from repro.systems.executor import SystemExecutor
+from repro.systems.registry import get_system
 
 PAIR = ("cts1", "cloud-c6i")
 

@@ -7,8 +7,9 @@ known hardware ordering; then scores a hypothetical GPU-dense proposal to
 show the forward-prediction use.  Benchmarks the full comparison sweep.
 """
 
-from repro.systems import compare_systems, get_system, predict_suite
+from repro.systems.codesign import compare_systems, predict_suite
 from repro.systems.descriptor import GpuSpec, InterconnectSpec, SystemDescriptor
+from repro.systems.registry import get_system
 
 
 def test_codesign_paper_systems(benchmark, artifact):

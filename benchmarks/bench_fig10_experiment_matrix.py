@@ -8,8 +8,8 @@ as processes_per_node · n_nodes.  Benchmarks matrix expansion at Figure 10
 scale and at campaign scale (hundreds of experiments).
 """
 
-from repro.ramble import Workspace
 from repro.ramble.matrices import expand_matrix
+from repro.ramble.workspace import Workspace
 
 FIGURE10_VARIABLES = {
     "processes_per_node": ["8", "4"],

@@ -9,7 +9,7 @@ resolves.  Benchmarks template rendering throughput.
 
 from repro.core.layout import system_variables_yaml
 from repro.ramble.templates import DEFAULT_EXECUTE_TEMPLATE, render_template
-from repro.systems import get_system
+from repro.systems.registry import get_system
 
 
 def _context(system_name: str) -> dict:

@@ -22,10 +22,12 @@ the paper-vs-measured comparison lives in EXPERIMENTS.md.
 
 import pytest
 
-from repro.analysis import Ensemble, ascii_plot, fit_model, render_series
 from repro.analysis.caliper import CaliperSession
+from repro.analysis.dashboard import ascii_plot, render_series
+from repro.analysis.extrap import fit_model
+from repro.analysis.thicket import Ensemble
 from repro.benchmarks.osu import run_collective
-from repro.systems import get_system
+from repro.systems.registry import get_system
 
 #: process counts matching Figure 14's x-axis (0..3456)
 NPROCS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3456)

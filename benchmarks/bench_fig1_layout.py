@@ -6,7 +6,7 @@ validates it against the Figure 1a layout, and renders the ASCII listing.
 Benchmarks full tree generation.
 """
 
-from repro.core import generate_benchpark_tree, render_tree, validate_tree
+from repro.core.layout import generate_benchpark_tree, render_tree, validate_tree
 
 
 def test_figure1a_tree(benchmark, artifact, tmp_path_factory):

@@ -6,7 +6,7 @@ builds → script rendering → execution → analysis), asserting each step
 fires in the paper's order.  Benchmarks the complete workflow.
 """
 
-from repro.core import WORKFLOW_STEPS, benchpark_setup
+from repro.core.driver import WORKFLOW_STEPS, benchpark_setup
 
 
 def test_figure1c_nine_step_workflow(benchmark, artifact, tmp_path_factory):

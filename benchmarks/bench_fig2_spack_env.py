@@ -14,16 +14,13 @@ phase, and checks the manifest-and-lock model behaves as §3.1.1 describes.
 import json
 
 from repro.core.layout import system_compilers_yaml, system_packages_yaml
-from repro.spack import (
-    CompilerRegistry,
-    Concretizer,
-    ConfigScope,
-    Environment,
-    Installer,
-    Store,
-    Configuration,
-)
-from repro.systems import get_system
+from repro.spack.compiler import CompilerRegistry
+from repro.spack.concretizer import Concretizer
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.environment import Environment
+from repro.spack.installer import Installer
+from repro.spack.store import Store
+from repro.systems.registry import get_system
 
 
 def _cts1_concretizer():

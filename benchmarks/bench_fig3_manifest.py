@@ -13,7 +13,8 @@ checks ``unify: true`` semantics (shared dependency solutions) versus
 
 import yaml
 
-from repro.spack import Concretizer, Environment
+from repro.spack.concretizer import Concretizer
+from repro.spack.environment import Environment
 
 
 FIGURE3_MANIFEST = """\

@@ -21,16 +21,11 @@ hypre (which needs both blas and mpi) against this config.
 import pytest
 import yaml
 
-from repro.spack import (
-    Compiler,
-    CompilerRegistry,
-    CompilerSpec,
-    ConcretizationError,
-    Concretizer,
-    ConfigScope,
-    Configuration,
-    Version,
-)
+from repro.spack.compiler import Compiler, CompilerRegistry
+from repro.spack.concretizer import ConcretizationError, Concretizer
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.spec import CompilerSpec
+from repro.spack.version import Version
 
 FIGURE4_YAML = """\
 packages:

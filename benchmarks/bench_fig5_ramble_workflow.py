@@ -10,8 +10,8 @@ Drives each command's programmatic equivalent for the saxpy workload on the
 local executor (real kernel execution) and benchmarks the full lifecycle.
 """
 
-from repro.ramble import Workspace
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 CONFIG = {

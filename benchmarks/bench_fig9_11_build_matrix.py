@@ -12,7 +12,7 @@ from pathlib import Path
 
 from repro.core.runtime import SpackRuntime
 from repro.spack.repository import builtin_repo
-from repro.systems import get_system
+from repro.systems.registry import get_system
 
 #: (system, variant-spec, expected cmake flag) triples for the build matrix
 MATRIX = [

@@ -34,6 +34,13 @@ numbers to ``BENCH_incremental.json``:
    sum of build times.
 3. **Memoized concretization** — the same environment solved cold and
    warm; the warm solve is a cache lookup.
+4. **Nightly epoch as a fresh process** — the paper's loop is a scheduled
+   CI job, so each epoch is a new interpreter.  This process creates a
+   ``FRESH_EXPERIMENT`` campaign on ``SYSTEM``; then each of
+   ``FRESH_PROCESSES`` (``FRESH_PROCESSES_QUICK`` with ``--quick``) new
+   interpreters runs ``ContinuousBenchmarking.open(workdir).run(1)`` and
+   ``regressions()``.  Reported: each process's wall time as seen from
+   here, interpreter start included, and whether it loaded SciPy.
 
 Run directly (not under pytest)::
 
@@ -50,16 +57,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
+import repro
 from repro.core.continuous import ContinuousBenchmarking
 from repro.perf import ContentStore
-from repro.spack import Concretizer, Installer, Store, graph_stats
-from repro.spack.concretizer import clear_concretization_memo
+from repro.spack.concretizer import Concretizer, clear_concretization_memo
+from repro.spack.graph import graph_stats
+from repro.spack.installer import Installer
+from repro.spack.store import Store
 
 EXPERIMENT = "stream/openmp"
 SYSTEM = "cts1"
@@ -82,6 +94,18 @@ LAYER_REGIONS = (
 #: what the first replayed epoch may enter beyond a later one: the hash of
 #: the set-up inputs, made once per process
 FIRST_REPLAY_EXTRA = Counter({"fingerprint": 1})
+#: the campaign each fresh process resumes, and how many processes run
+FRESH_EXPERIMENT = "saxpy/openmp"
+FRESH_PROCESSES, FRESH_PROCESSES_QUICK = 10, 3
+#: one nightly epoch: resume the campaign, run an epoch, score it
+NIGHTLY = """
+import sys
+from repro.core.continuous import ContinuousBenchmarking
+campaign = ContinuousBenchmarking.open(sys.argv[1])
+campaign.run(1)
+campaign.regressions()
+print("scipy" in sys.modules)
+"""
 
 
 def _fom_series(campaign: ContinuousBenchmarking):
@@ -121,9 +145,8 @@ def _run(campaign: ContinuousBenchmarking, epochs: int) -> tuple:
     return written[1:], visits
 
 
-def bench_warm_campaign(epochs: int) -> dict:
+def bench_warm_campaign(epochs: int, base: Path) -> dict:
     shared = ContentStore("epoch-results")
-    base = Path(tempfile.mkdtemp(prefix="bench-incremental-"))
 
     t0 = time.perf_counter()
     cold = ContinuousBenchmarking(
@@ -248,6 +271,34 @@ def bench_concretize_memo(rounds: int = 5) -> dict:
     }
 
 
+def bench_fresh_process(processes: int) -> dict:
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    wall_ms, scipy_loaded = [], []
+    with tempfile.TemporaryDirectory() as workdir:
+        ContinuousBenchmarking(FRESH_EXPERIMENT, SYSTEM, workdir).run(1)
+        for _ in range(processes):
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", NIGHTLY, workdir],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            wall_ms.append((time.perf_counter() - t0) * 1e3)
+            scipy_loaded.append(out.stdout.strip() == "True")
+        epochs = ContinuousBenchmarking.open(workdir).epochs_run
+    assert epochs == processes + 1, "every fresh process must add one epoch"
+    return {
+        "experiment": FRESH_EXPERIMENT,
+        "system": SYSTEM,
+        "processes": processes,
+        "wall_ms": wall_ms,
+        "wall_ms_median": statistics.median(wall_ms),
+        "wall_ms_min": min(wall_ms),
+        "wall_ms_max": max(wall_ms),
+        "scipy_loaded": any(scipy_loaded),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -264,17 +315,21 @@ def main(argv=None) -> int:
 
     epochs = args.epochs or (3 if args.quick else 10)
 
-    campaign = bench_warm_campaign(epochs)
+    with tempfile.TemporaryDirectory(prefix="bench-incremental-") as base:
+        campaign = bench_warm_campaign(epochs, Path(base))
     campaign.pop("_baseline_obj_records", None)
     cold_profile, warm_profile = campaign.pop("_profiles")
     install = bench_parallel_install()
     memo = bench_concretize_memo()
+    fresh = bench_fresh_process(
+        FRESH_PROCESSES_QUICK if args.quick else FRESH_PROCESSES)
 
     results = {
         "mode": "quick" if args.quick else "full",
         "warm_campaign": campaign,
         "parallel_install": install,
         "concretize_memo": memo,
+        "fresh_process": fresh,
     }
     print(json.dumps(results, indent=2))
 

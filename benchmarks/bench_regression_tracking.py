@@ -9,7 +9,7 @@ after that; the assertions and the artifact cover the 10-epoch history
 only, so they read the same whether pytest-benchmark runs or is disabled.
 """
 
-from repro.analysis import ascii_plot
+from repro.analysis.dashboard import ascii_plot
 from repro.core.continuous import ContinuousBenchmarking
 from repro.systems.failures import Degradation, FailureSchedule
 

@@ -11,17 +11,14 @@ runners build and push to the cache.  We run the loop twice:
   applications on only the dependencies with special requirements".
 """
 
-from repro.ci import GitLab, Runner
+from repro.ci.gitlab import GitLab, Runner
 from repro.ci.pipeline import parse_ci_config
-from repro.spack import (
-    BinaryCache,
-    Concretizer,
-    Environment,
-    Installer,
-    Store,
-    generate_ci_pipeline,
-)
-from repro.spack.ci_pipeline import job_name_for
+from repro.spack.binary_cache import BinaryCache
+from repro.spack.ci_pipeline import generate_ci_pipeline, job_name_for
+from repro.spack.concretizer import Concretizer
+from repro.spack.environment import Environment
+from repro.spack.installer import Installer
+from repro.spack.store import Store
 
 
 def test_spack_ci_cold_and_warm(benchmark, artifact, tmp_path_factory):

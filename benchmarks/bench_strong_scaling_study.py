@@ -10,10 +10,11 @@ check the strong-scaling shape (speedup grows, efficiency decays, a scaling
 limit exists on the contended comparison system).
 """
 
-from repro.analysis import classify_scaling, strong_scaling
-from repro.ci import MetricsDatabase
-from repro.ramble import Workspace
-from repro.systems import SystemExecutor, get_system
+from repro.analysis.scaling import classify_scaling, strong_scaling
+from repro.ci.metricsdb import MetricsDatabase
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import SystemExecutor
+from repro.systems.registry import get_system
 
 RANKS = ["1", "2", "4", "8", "16", "32", "64"]
 PROBLEM_SIZE = str(1 << 22)  # fixed total size: strong scaling

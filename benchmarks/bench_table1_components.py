@@ -7,7 +7,7 @@ module of this repository (introspective check), then benchmark the
 verification sweep itself.
 """
 
-from repro.core import render_table1, verify_cells
+from repro.core.components import render_table1, verify_cells
 
 
 def test_table1_regeneration(benchmark, artifact):

@@ -21,8 +21,9 @@ Usage:  python examples/add_benchmark.py
 import tempfile
 from pathlib import Path
 
-from repro.ramble import SpackApplication, Workspace
+from repro.core.layout import system_variables_yaml
 from repro.ramble.application import (
+    SpackApplication,
     executable,
     figure_of_merit,
     success_criteria,
@@ -30,10 +31,10 @@ from repro.ramble.application import (
     workload_variable,
 )
 from repro.ramble.apps import ApplicationRepository, builtin_applications
-from repro.spack import AutotoolsPackage, depends_on, version
+from repro.ramble.workspace import Workspace
+from repro.spack.package import AutotoolsPackage, depends_on, version
 from repro.spack.repository import Repository, RepoPath, builtin_repo
-from repro.systems import get_system
-from repro.core.layout import system_variables_yaml
+from repro.systems.registry import get_system
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def main() -> int:
         for e in experiments:
             print(f"  {e.name}")
 
-        from repro.systems import SystemExecutor
+        from repro.systems.executor import SystemExecutor
 
         ws.run(SystemExecutor(system))
         results = ws.analyze()

@@ -20,20 +20,15 @@ Usage:  python examples/ci_collaboration.py
 import tempfile
 from pathlib import Path
 
-from repro.ci import (
-    GitHub,
-    GitLab,
-    Hubcast,
-    JacamarExecutor,
-    MetricsDatabase,
-    ObjectStore,
-    Runner,
-    SecurityCriteria,
-    SiteAccounts,
-)
+from repro.ci.github import GitHub
+from repro.ci.gitlab import GitLab, Runner
+from repro.ci.hubcast import Hubcast, SecurityCriteria
+from repro.ci.jacamar import JacamarExecutor, SiteAccounts
+from repro.ci.metricsdb import MetricsDatabase
+from repro.ci.objectstore import ObjectStore
 from repro.ci.pipeline import CiJob
-from repro.core import benchpark_setup
-from repro.spack import BinaryCache
+from repro.core.driver import benchpark_setup
+from repro.spack.binary_cache import BinaryCache
 
 CI_YAML = """
 stages: [bench]

@@ -23,10 +23,10 @@ Usage:  python examples/cloud_vs_onprem.py
 import tempfile
 from pathlib import Path
 
-from repro.archspec import get_target
-from repro.ci import MetricsDatabase
-from repro.core import benchpark_setup
-from repro.analysis import render_grid
+from repro.analysis.dashboard import render_grid
+from repro.archspec.database import get_target
+from repro.ci.metricsdb import MetricsDatabase
+from repro.core.driver import benchpark_setup
 
 SYSTEMS = ("cts1", "cloud-c6i")
 EXPERIMENT = "stream/openmp"

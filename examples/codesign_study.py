@@ -16,9 +16,10 @@ predictions share one calibrated model.
 Usage:  python examples/codesign_study.py
 """
 
-from repro.analysis import render_grid
-from repro.systems import compare_systems, get_system
+from repro.analysis.dashboard import render_grid
+from repro.systems.codesign import compare_systems
 from repro.systems.descriptor import GpuSpec, InterconnectSpec, SystemDescriptor
+from repro.systems.registry import get_system
 
 
 def proposal(name, **kw) -> SystemDescriptor:

@@ -20,7 +20,7 @@ Usage:  python examples/performance_tracking.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import ascii_plot
+from repro.analysis.dashboard import ascii_plot
 from repro.core.continuous import ContinuousBenchmarking
 from repro.systems.failures import Degradation, FailureSchedule
 

@@ -18,9 +18,9 @@ Usage:  python examples/procurement_suite.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis import render_report
-from repro.ci import MetricsDatabase
-from repro.core import get_suite, run_suite
+from repro.analysis.dashboard import render_report
+from repro.ci.metricsdb import MetricsDatabase
+from repro.core.suite import get_suite, run_suite
 
 SYSTEMS = ("cts1", "ats2", "ats4", "cloud-c6i")
 

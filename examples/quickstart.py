@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core import benchpark_setup
+from repro.core.driver import benchpark_setup
 
 
 def main() -> int:

@@ -15,10 +15,11 @@ The scenario the paper's future-work section describes end to end:
 Usage:  python examples/scaling_study.py
 """
 
-from repro.analysis import ascii_plot, fit_model
+from repro.analysis.dashboard import ascii_plot
+from repro.analysis.extrap import fit_model
 from repro.benchmarks.osu import run_collective
-from repro.ci import MetricsDatabase
-from repro.systems import get_system
+from repro.ci.metricsdb import MetricsDatabase
+from repro.systems.registry import get_system
 
 RANKS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3456)
 SYSTEMS = ("cts1", "ats2", "ats4")

@@ -1,12 +1,10 @@
 """Incremental analysis engine (exaCB-style incremental result analysis).
 
 ``AnalysisEngine`` feeds each series' :class:`~repro.analysis.regression.SeriesState`
-(the one regression scorer, re-exported here) only the records appended to
-the metrics database since its last scan, timing each stage as a Caliper
-region.
+(the one regression scorer) only the records appended to the metrics
+database since its last scan, timing each stage as a Caliper region.
 """
 
-from ..regression import SeriesState
 from .core import AnalysisEngine
 
-__all__ = ["AnalysisEngine", "SeriesState"]
+__all__ = ["AnalysisEngine"]

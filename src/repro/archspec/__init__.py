@@ -1,17 +1,8 @@
 """Mini-archspec: microarchitecture detection, labeling and reasoning
-(paper §3.1.3, reference [7])."""
+(paper §3.1.3, reference [7]).
 
-from .database import TARGETS, compatible_targets, get_target
-from .detect import detect_from_cpuinfo, detect_from_features, detect_host
-from .microarch import Microarchitecture, UnsupportedMicroarchitecture
-
-__all__ = [
-    "Microarchitecture",
-    "TARGETS",
-    "UnsupportedMicroarchitecture",
-    "compatible_targets",
-    "detect_from_cpuinfo",
-    "detect_from_features",
-    "detect_host",
-    "get_target",
-]
+Import each name from the module that defines it: the target database
+(:mod:`~repro.archspec.database`), host detection
+(:mod:`~repro.archspec.detect`) and :class:`Microarchitecture`
+(:mod:`~repro.archspec.microarch`).
+"""

@@ -1,25 +1,8 @@
 """Runnable benchmark implementations (paper §4): saxpy, AMG2023 (a real
 smoothed-aggregation AMG solver), STREAM, and OSU-style collectives —
 all executing real NumPy/SciPy numerics, with SimMPI supplying collective
-semantics and modeled communication time."""
+semantics and modeled communication time.
 
-from . import amg
-from .osu import OsuResult, run_collective
-from .quicksilver import QuicksilverResult, run_quicksilver
-from .saxpy import SaxpyResult, run_saxpy, saxpy_kernel
-from .simmpi import SimWorld
-from .stream import StreamResult, run_stream
-
-__all__ = [
-    "OsuResult",
-    "QuicksilverResult",
-    "SaxpyResult",
-    "SimWorld",
-    "StreamResult",
-    "amg",
-    "run_collective",
-    "run_quicksilver",
-    "run_saxpy",
-    "run_stream",
-    "saxpy_kernel",
-]
+Each kernel is its own module, imported only when it runs: a STREAM epoch
+never loads SciPy, which only :mod:`repro.benchmarks.amg` needs.
+"""

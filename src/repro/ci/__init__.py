@@ -1,46 +1,8 @@
 """CI automation substrate (paper §3.3, Figure 6): in-memory GitHub/GitLab
 services, Hubcast secure mirroring, the Jacamar setuid executor, pipeline
-parsing/execution, the S3-like object store, and the metrics database."""
+parsing/execution, the S3-like object store, and the metrics database.
 
-from .federation import Federation, Site
-from .git import Commit, GitError, GitRepository
-from .github import GitHub, GitHubRepo, PullRequest, Review, StatusCheck
-from .gitlab import GitLab, GitLabError, GitLabProject, Runner
-from .hubcast import Hubcast, MirrorRecord, SecurityCriteria
-from .jacamar import JacamarError, JacamarExecutor, SiteAccounts
-from .metricsdb import MetricRecord, MetricsDatabase
-from .objectstore import Bucket, ObjectStore, ObjectStoreError
-from .pipeline import CiConfigError, CiJob, Pipeline, parse_ci_config, run_pipeline
-
-__all__ = [
-    "Bucket",
-    "CiConfigError",
-    "CiJob",
-    "Commit",
-    "Federation",
-    "GitError",
-    "GitHub",
-    "GitHubRepo",
-    "GitLab",
-    "GitLabError",
-    "GitLabProject",
-    "GitRepository",
-    "Hubcast",
-    "JacamarError",
-    "JacamarExecutor",
-    "MetricRecord",
-    "MetricsDatabase",
-    "MirrorRecord",
-    "ObjectStore",
-    "ObjectStoreError",
-    "Pipeline",
-    "PullRequest",
-    "Review",
-    "Runner",
-    "SecurityCriteria",
-    "Site",
-    "SiteAccounts",
-    "StatusCheck",
-    "parse_ci_config",
-    "run_pipeline",
-]
+Import each name from the module that defines it (for example
+``from repro.ci.metricsdb import MetricsDatabase``), so a campaign that only
+stores metrics never loads the CI services.
+"""

@@ -1,40 +1,7 @@
 """Benchpark — the paper's primary contribution: the component model
 (Table 1), repository layout (Figure 1a), the driver and nine-step workflow
-(Figure 1c), the per-system Spack runtime, and the CLI."""
+(Figure 1c), the per-system Spack runtime, and the CLI.
 
-from .components import TABLE1, render_table1, verify_cells
-from .continuous import ContinuousBenchmarking
-from .driver import BenchparkError, BenchparkSession, WORKFLOW_STEPS, benchpark_setup
-from .layout import (
-    EXPERIMENT_VARIANTS,
-    ci_config_for,
-    experiment_ramble_yaml,
-    generate_benchpark_tree,
-    render_tree,
-    validate_tree,
-)
-from .runtime import SpackRuntime
-from .suite import BUILTIN_SUITES, SuiteDefinition, SuiteRun, get_suite, run_suite
-
-__all__ = [
-    "BenchparkError",
-    "BenchparkSession",
-    "ContinuousBenchmarking",
-    "EXPERIMENT_VARIANTS",
-    "SpackRuntime",
-    "TABLE1",
-    "WORKFLOW_STEPS",
-    "benchpark_setup",
-    "ci_config_for",
-    "experiment_ramble_yaml",
-    "generate_benchpark_tree",
-    "BUILTIN_SUITES",
-    "SuiteDefinition",
-    "SuiteRun",
-    "get_suite",
-    "render_table1",
-    "run_suite",
-    "render_tree",
-    "validate_tree",
-    "verify_cells",
-]
+Import each name from the module that defines it (for example
+``from repro.core.continuous import ContinuousBenchmarking``).
+"""

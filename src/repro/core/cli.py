@@ -101,8 +101,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "run":
-        from repro.ramble import Workspace
-        from repro.systems import SystemExecutor, get_system
+        from repro.ramble.workspace import Workspace
+        from repro.systems.executor import SystemExecutor
+        from repro.systems.registry import get_system
 
         ws = Workspace(args.workspace_dir)
         outcomes = ws.run(SystemExecutor(get_system(args.system)))
@@ -111,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if bad else 0
 
     if args.command == "analyze":
-        from repro.ramble import Workspace
+        from repro.ramble.workspace import Workspace
 
         ws = Workspace(args.workspace_dir)
         results = ws.analyze()
@@ -120,14 +121,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "list":
         if args.what == "systems":
-            from repro.systems import SYSTEMS
+            from repro.systems.registry import SYSTEMS
 
             for name, desc in sorted(SYSTEMS.items()):
                 gpu = f" + {desc.gpu.count_per_node}x {desc.gpu.model}" if desc.gpu else ""
                 print(f"{name:<12} {desc.site:<6} {desc.nodes} nodes, "
                       f"{desc.cores_per_node} cores ({desc.cpu_target}){gpu}")
         elif args.what == "benchmarks":
-            from repro.ramble import builtin_applications
+            from repro.ramble.apps import builtin_applications
 
             for name in builtin_applications().all_names():
                 print(name)
@@ -153,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "report":
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
         from .continuous import ContinuousBenchmarking
 
         try:
@@ -177,7 +178,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if run.passed else 1
 
     if args.command == "archive":
-        from repro.ramble import Workspace, archive_workspace, save_archive
+        from repro.ramble.archive import archive_workspace, save_archive
+        from repro.ramble.workspace import Workspace
 
         ws = Workspace(args.workspace_dir)
         bundle = archive_workspace(ws)
@@ -187,8 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "restore":
-        from repro.ramble import load_archive, restore_workspace
-        from repro.ramble.archive import ArchiveError
+        from repro.ramble.archive import ArchiveError, load_archive, restore_workspace
 
         try:
             bundle = load_archive(args.archive_json)

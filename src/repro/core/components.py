@@ -62,8 +62,8 @@ TABLE1: List[ComponentCell] = [
                   "repro.spack.package:PackageBase",
                   _importable("repro.spack.package:PackageBase")),
     ComponentCell("1 Source code", Axis.SYSTEM, "archspec (Sec. 3.1.3)",
-                  "repro.archspec:get_target",
-                  _importable("repro.archspec:get_target")),
+                  "repro.archspec.database:get_target",
+                  _importable("repro.archspec.database:get_target")),
     ComponentCell("1 Source code", Axis.EXPERIMENT, "ramble.yaml: spack",
                   "repro.ramble.software:resolve_environment",
                   _importable("repro.ramble.software:resolve_environment")),

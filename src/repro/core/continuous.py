@@ -34,9 +34,9 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.caliper import CaliperSession, annotate, region
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.regression import RegressionEvent, epoch_means
-from repro.ci import MetricsDatabase
+from repro.ci.metricsdb import MetricsDatabase
 from repro.perf import ContentStore, fingerprint
-from repro.ramble import builtin_applications
+from repro.ramble.apps import builtin_applications
 from repro.resilience import (
     CircuitBreakerRegistry,
     FaultTolerantExecutor,
@@ -44,8 +44,9 @@ from repro.resilience import (
     TransientFaultInjector,
 )
 from repro.spack.repository import default_repo_path
-from repro.systems import SystemExecutor, get_system
+from repro.systems.executor import SystemExecutor
 from repro.systems.failures import FailureSchedule
+from repro.systems.registry import get_system
 
 from .driver import benchpark_setup, workspace_config
 

@@ -27,9 +27,11 @@ from typing import Any, Dict, List, Optional
 import yaml
 
 from repro.analysis.caliper import annotate
-from repro.ramble import Workspace
-from repro.spack import BinaryCache
-from repro.systems import SystemDescriptor, SystemExecutor, get_system
+from repro.ramble.workspace import Workspace
+from repro.spack.binary_cache import BinaryCache
+from repro.systems.descriptor import SystemDescriptor
+from repro.systems.executor import SystemExecutor
+from repro.systems.registry import get_system
 
 from .layout import (
     EXPERIMENT_VARIANTS,

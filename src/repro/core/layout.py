@@ -26,7 +26,8 @@ from typing import Any, Dict, List, Optional
 import yaml
 
 from repro.ramble.templates import DEFAULT_EXECUTE_TEMPLATE
-from repro.systems import SYSTEMS, SystemDescriptor, get_system
+from repro.systems.descriptor import SystemDescriptor
+from repro.systems.registry import SYSTEMS, get_system
 
 __all__ = [
     "EXPERIMENT_VARIANTS",

@@ -13,19 +13,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.caliper import annotate
-from repro.archspec import get_target
-from repro.spack import (
-    BinaryCache,
-    BuildResult,
-    CompilerRegistry,
-    Concretizer,
-    ConfigScope,
-    Configuration,
-    Installer,
-    Spec,
-    Store,
-)
-from repro.systems import SystemDescriptor
+from repro.archspec.database import get_target
+from repro.spack.binary_cache import BinaryCache
+from repro.spack.compiler import CompilerRegistry
+from repro.spack.concretizer import Concretizer
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.installer import BuildResult, Installer
+from repro.spack.spec import Spec
+from repro.spack.store import Store
+from repro.systems.descriptor import SystemDescriptor
 
 __all__ = ["SpackRuntime"]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.ci import MetricsDatabase
+from repro.ci.metricsdb import MetricsDatabase
 
 from .driver import BenchparkError, benchpark_setup
 from .layout import EXPERIMENT_VARIANTS

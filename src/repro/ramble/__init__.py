@@ -2,60 +2,6 @@
 
 Application DSL (Figure 8), variable expansion, experiment matrices
 (Figure 10), workspaces (Figure 5 lifecycle), template rendering
-(Figure 13), FOM analysis (§4.5), and modifiers."""
-
-from .analysis import ExperimentStatus, analyze_experiment, extract_foms
-from .archive import archive_workspace, load_archive, manifest_hash, restore_workspace, save_archive
-from .application import (
-    ApplicationBase,
-    ApplicationError,
-    SpackApplication,
-    executable,
-    figure_of_merit,
-    success_criteria,
-    workload,
-    workload_variable,
-)
-from .apps import ApplicationRepository, builtin_applications
-from .expander import Expander, ExpansionError
-from .matrices import MatrixError, expand_matrix
-from .modifiers import CaliperModifier, HardwareCountersModifier, Modifier
-from .software import SoftwareError, resolve_environment
-from .templates import DEFAULT_EXECUTE_TEMPLATE, TemplateError, render_template
-from .workspace import Experiment, Workspace, WorkspaceError
-
-__all__ = [
-    "ApplicationBase",
-    "ApplicationError",
-    "ApplicationRepository",
-    "CaliperModifier",
-    "DEFAULT_EXECUTE_TEMPLATE",
-    "Expander",
-    "ExpansionError",
-    "Experiment",
-    "ExperimentStatus",
-    "HardwareCountersModifier",
-    "MatrixError",
-    "Modifier",
-    "SoftwareError",
-    "SpackApplication",
-    "TemplateError",
-    "Workspace",
-    "WorkspaceError",
-    "analyze_experiment",
-    "archive_workspace",
-    "load_archive",
-    "manifest_hash",
-    "restore_workspace",
-    "save_archive",
-    "builtin_applications",
-    "executable",
-    "expand_matrix",
-    "extract_foms",
-    "figure_of_merit",
-    "render_template",
-    "resolve_environment",
-    "success_criteria",
-    "workload",
-    "workload_variable",
-]
+(Figure 13), FOM analysis (§4.5), and modifiers.  Import each name from
+the module that defines it.
+"""

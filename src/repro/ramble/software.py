@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.spack import Spec, parse_spec
+from repro.spack.parser import parse_spec
+from repro.spack.spec import Spec
 
 __all__ = ["SoftwareError", "PackageDef", "resolve_environment", "merge_spack_sections"]
 
@@ -62,7 +63,7 @@ def merge_spack_sections(system_spack: Mapping[str, Any],
 
 
 def _compiler_for(defs: Mapping[str, PackageDef], compiler_name: str):
-    from repro.spack import CompilerSpec
+    from repro.spack.spec import CompilerSpec
 
     if compiler_name not in defs:
         raise SoftwareError(

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import yaml
 
 from repro.analysis.caliper import annotate
-from repro.spack import Spec
+from repro.spack.spec import Spec
 
 from .application import SuccessCriterionDef
 from .apps import ApplicationRepository, builtin_applications

@@ -172,7 +172,8 @@ class Installer:
         """archspec role 1 (§3.1.3): tailor the build to the target."""
         if spec.target is None or spec.compiler is None:
             return ""
-        from repro.archspec import UnsupportedMicroarchitecture, get_target
+        from repro.archspec.database import get_target
+        from repro.archspec.microarch import UnsupportedMicroarchitecture
 
         try:
             uarch = get_target(spec.target)

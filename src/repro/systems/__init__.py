@@ -1,43 +1,7 @@
 """Simulated HPC systems substrate: descriptors for the paper's systems
 (cts1/ats2/ats4 + cloud), the batch scheduler, executors, and analytic
-MPI + kernel performance models."""
+MPI + kernel performance models.
 
-from .descriptor import GpuSpec, InterconnectSpec, SystemDescriptor
-from .batch_executor import BatchExecutor
-from .codesign import compare_systems, predict_suite
-from .executor import LocalExecutor, SystemExecutor
-from .failures import Degradation, FailureSchedule, apply_degradation
-from .mpi_model import MpiCostModel
-from .performance import (
-    amg_cycle_model_seconds,
-    saxpy_model_seconds,
-    scale_compute_time,
-    stream_model_rate_mbs,
-)
-from .registry import SYSTEMS, all_system_names, get_system
-from .scheduler import BatchScheduler, Job, SchedulerError
-
-__all__ = [
-    "BatchExecutor",
-    "BatchScheduler",
-    "Degradation",
-    "FailureSchedule",
-    "GpuSpec",
-    "InterconnectSpec",
-    "Job",
-    "LocalExecutor",
-    "MpiCostModel",
-    "SYSTEMS",
-    "SchedulerError",
-    "SystemDescriptor",
-    "SystemExecutor",
-    "all_system_names",
-    "apply_degradation",
-    "amg_cycle_model_seconds",
-    "compare_systems",
-    "get_system",
-    "predict_suite",
-    "saxpy_model_seconds",
-    "scale_compute_time",
-    "stream_model_rate_mbs",
-]
+Import each name from the module that defines it (for example
+``from repro.systems.registry import get_system``).
+"""

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AnalysisEngine, CaliperSession, SeriesState
-from repro.analysis.regression import epoch_means
-from repro.ci import MetricsDatabase
+from repro.analysis.caliper import CaliperSession
+from repro.analysis.engine import AnalysisEngine
+from repro.analysis.regression import SeriesState, epoch_means
+from repro.ci.metricsdb import MetricsDatabase
 
 from .batch_oracle import oracle
 

@@ -240,7 +240,7 @@ class TestThicket:
 
 class TestDashboard:
     def test_render_grid(self):
-        from repro.analysis import render_grid
+        from repro.analysis.dashboard import render_grid
 
         out = render_grid(
             ["saxpy", "amg2023"], ["cts1", "ats2"],
@@ -250,19 +250,19 @@ class TestDashboard:
         assert "saxpy" in out and "ats2" in out and "—" in out
 
     def test_render_series_with_model(self):
-        from repro.analysis import render_series
+        from repro.analysis.dashboard import render_series
 
         out = render_series([1, 2], [1.0, 2.0], model=[1.1, 1.9])
         assert "model" in out
 
     def test_render_series_length_mismatch(self):
-        from repro.analysis import render_series
+        from repro.analysis.dashboard import render_series
 
         with pytest.raises(ValueError):
             render_series([1], [1.0, 2.0])
 
     def test_ascii_plot(self):
-        from repro.analysis import ascii_plot
+        from repro.analysis.dashboard import ascii_plot
 
         xs = list(range(1, 20))
         ys = [2.0 * x for x in xs]
@@ -271,7 +271,7 @@ class TestDashboard:
         assert "measured" in out
 
     def test_ascii_plot_empty(self):
-        from repro.analysis import ascii_plot
+        from repro.analysis.dashboard import ascii_plot
 
         with pytest.raises(ValueError):
             ascii_plot([], [])

@@ -3,8 +3,9 @@ the complete §5 analysis pipeline over real benchmark executions."""
 
 import pytest
 
-from repro.analysis import Ensemble, adiak
+from repro.analysis import adiak
 from repro.analysis.caliper import CaliperSession
+from repro.analysis.thicket import Ensemble
 from repro.benchmarks.amg import run_amg
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.regression import (RegressionDetector, RegressionEvent,
                                        SeriesState, epoch_means)
-from repro.ci import MetricsDatabase
+from repro.ci.metricsdb import MetricsDatabase
 
 from .batch_oracle import oracle
 

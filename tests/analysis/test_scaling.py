@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import classify_scaling, strong_scaling, weak_scaling
+from repro.analysis.scaling import classify_scaling, strong_scaling, weak_scaling
 
 
 def ideal_strong(p_values, t1=100.0):
@@ -75,7 +75,8 @@ class TestClassify:
     def test_real_amg_comm_model(self):
         """Classify the simulated AMG strong-scaling curve on cts1: the
         contended fabric must impose a scaling limit."""
-        from repro.systems import amg_cycle_model_seconds, get_system
+        from repro.systems.performance import amg_cycle_model_seconds
+        from repro.systems.registry import get_system
 
         cts1 = get_system("cts1")
         series = [

@@ -3,16 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.archspec import (
-    TARGETS,
-    Microarchitecture,
-    UnsupportedMicroarchitecture,
-    compatible_targets,
-    detect_from_cpuinfo,
-    detect_from_features,
-    detect_host,
-    get_target,
-)
+from repro.archspec.database import TARGETS, compatible_targets, get_target
+from repro.archspec.detect import detect_from_cpuinfo, detect_from_features, detect_host
+from repro.archspec.microarch import Microarchitecture, UnsupportedMicroarchitecture
 
 
 class TestDatabase:

@@ -86,7 +86,7 @@ class TestHarness:
 
     def test_through_full_benchpark_stack(self, tmp_path):
         """quicksilver/openmp on cts1 end to end, like §4's benchmarks."""
-        from repro.core import benchpark_setup
+        from repro.core.driver import benchpark_setup
 
         session = benchpark_setup("quicksilver/openmp", "cts1", tmp_path / "ws")
         results = session.run_all()
@@ -96,7 +96,9 @@ class TestHarness:
         assert "fom_segments" in foms
 
     def test_installed_via_spack(self, tmp_path):
-        from repro.spack import Concretizer, Installer, Store
+        from repro.spack.concretizer import Concretizer
+        from repro.spack.installer import Installer
+        from repro.spack.store import Store
 
         spec = Concretizer().concretize("quicksilver")
         assert spec.variants["openmp"] is True

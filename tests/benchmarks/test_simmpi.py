@@ -190,8 +190,8 @@ class TestCaliperExport:
         """SimMPI → Caliper → Thicket → Extra-P: the Figure 14 pipeline
         entirely through public interfaces."""
         import numpy as np
-        from repro.analysis import Ensemble
-        from repro.systems import get_system
+        from repro.analysis.thicket import Ensemble
+        from repro.systems.registry import get_system
 
         cts1 = get_system("cts1")
         profiles = []

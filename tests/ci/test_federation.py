@@ -3,12 +3,10 @@ Hubcast@LLNL/RIKEN/AWS)."""
 
 import pytest
 
-from repro.ci import (
-    GitHub,
-    Runner,
-    SecurityCriteria,
-)
 from repro.ci.federation import Federation
+from repro.ci.github import GitHub
+from repro.ci.gitlab import Runner
+from repro.ci.hubcast import SecurityCriteria
 
 CI_YAML = """
 stages: [bench]

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.ci import (
-    GitError,
-    GitHub,
-    GitLab,
-    GitLabError,
-    GitRepository,
-    Runner,
-)
+from repro.ci.git import GitError, GitRepository
+from repro.ci.github import GitHub
+from repro.ci.gitlab import GitLab, GitLabError, Runner
 from repro.ci.pipeline import CiConfigError, parse_ci_config
 
 

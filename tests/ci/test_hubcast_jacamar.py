@@ -5,20 +5,12 @@ import json
 
 import pytest
 
-from repro.ci import (
-    GitHub,
-    GitLab,
-    Hubcast,
-    JacamarError,
-    JacamarExecutor,
-    MetricsDatabase,
-    ObjectStore,
-    ObjectStoreError,
-    Runner,
-    SecurityCriteria,
-    SiteAccounts,
-)
-from repro.ci.hubcast import STATUS_CONTEXT
+from repro.ci.github import GitHub
+from repro.ci.gitlab import GitLab, Runner
+from repro.ci.hubcast import STATUS_CONTEXT, Hubcast, SecurityCriteria
+from repro.ci.jacamar import JacamarError, JacamarExecutor, SiteAccounts
+from repro.ci.metricsdb import MetricsDatabase
+from repro.ci.objectstore import ObjectStore, ObjectStoreError
 
 CI_YAML = """
 stages: [bench]
@@ -172,7 +164,10 @@ class TestObjectStore:
 
     def test_binary_cache_backend(self):
         """The §7.2 rolling binary cache: mini-Spack cache on S3 bucket."""
-        from repro.spack import BinaryCache, Concretizer, Installer, Store
+        from repro.spack.binary_cache import BinaryCache
+        from repro.spack.concretizer import Concretizer
+        from repro.spack.installer import Installer
+        from repro.spack.store import Store
         import tempfile
 
         bucket = ObjectStore().create_bucket("spack-binaries")

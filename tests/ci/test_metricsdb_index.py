@@ -3,7 +3,7 @@ MetricsDatabase.query — indexed lookups must match a full scan exactly."""
 
 import json
 
-from repro.ci import MetricsDatabase
+from repro.ci.metricsdb import MetricsDatabase
 
 
 def _populated():

@@ -3,7 +3,7 @@ pipeline execution invariants."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ci import GitRepository
+from repro.ci.git import GitRepository
 from repro.ci.pipeline import build_pipeline, parse_ci_config, run_pipeline
 
 import yaml

@@ -7,27 +7,22 @@ import re
 import pytest
 import yaml
 
-from repro.core import (
+from repro.core.cli import main as cli_main
+from repro.core.components import render_table1, verify_cells
+from repro.core.driver import WORKFLOW_STEPS, BenchparkError, benchpark_setup
+from repro.core.layout import (
     EXPERIMENT_VARIANTS,
-    SpackRuntime,
-    WORKFLOW_STEPS,
-    benchpark_setup,
     experiment_ramble_yaml,
     generate_benchpark_tree,
-    render_table1,
     render_tree,
-    validate_tree,
-    verify_cells,
-)
-from repro.core.cli import main as cli_main
-from repro.core.driver import BenchparkError
-from repro.core.layout import (
     system_compilers_yaml,
     system_packages_yaml,
     system_spack_yaml,
     system_variables_yaml,
+    validate_tree,
 )
-from repro.systems import get_system
+from repro.core.runtime import SpackRuntime
+from repro.systems.registry import get_system
 
 
 class TestComponents:

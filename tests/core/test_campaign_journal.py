@@ -8,10 +8,8 @@ resumed to the end, it must reach the uninterrupted run's state, and count
 as replays exactly the replayed lines of its own journal.
 """
 
-import itertools
 import json
 import shutil
-import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -108,16 +106,6 @@ def cold_journal(tmp_path_factory):
     are what a warm campaign replays."""
     return _campaign(tmp_path_factory.mktemp("prior"),
                      KILL_FAULT_RATE).run(MAX_EPOCHS).checkpoint_path
-
-
-@pytest.fixture
-def fixed_clock(monkeypatch):
-    """Pin the saxpy kernel's timer to a fixed step per reading, so an
-    epoch that runs again measures what the uninterrupted run measured."""
-    ticks = itertools.count()
-    monkeypatch.setattr(
-        "repro.benchmarks.saxpy.time",
-        types.SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
 
 
 def _store(journal, epochs, workdir):

@@ -26,14 +26,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.continuous import ContinuousBenchmarking
 from repro.core.driver import benchpark_setup
 from repro.perf import ContentStore, fingerprint
-from repro.ramble import Workspace, builtin_applications
 from repro.ramble.application import FigureOfMeritDef
+from repro.ramble.apps import builtin_applications
 from repro.ramble.modifiers import Modifier
+from repro.ramble.workspace import Workspace
 from repro.spack import repository
 from repro.spack.repository import Repository, builtin_repo
 from repro.spack.version import Version
-from repro.systems import SYSTEMS, SystemExecutor, get_system
+from repro.systems.executor import SystemExecutor
 from repro.systems.failures import Degradation, FailureSchedule
+from repro.systems.registry import SYSTEMS, get_system
 
 EPOCHS = 4
 #: variables naming the rendered script, which every epoch shares

@@ -15,7 +15,7 @@ class TestContinuousLoop:
         history = loop.history("triad_bw")
         assert [e for e, _ in history] == [0.0, 1.0]
 
-    def test_healthy_history_has_no_regressions(self, tmp_path):
+    def test_healthy_history_has_no_regressions(self, tmp_path, fixed_clock):
         loop = ContinuousBenchmarking("stream/openmp", "cts1", tmp_path)
         loop.run(epochs=6)
         assert loop.regressions() == []

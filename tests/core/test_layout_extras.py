@@ -3,11 +3,10 @@ and the markdown dashboard report."""
 
 import pytest
 
-from repro.ci import MetricsDatabase
+from repro.ci.metricsdb import MetricsDatabase
 from repro.ci.pipeline import parse_ci_config
-from repro.core import generate_benchpark_tree
-from repro.core.layout import ci_config_for
-from repro.spack import Concretizer
+from repro.core.layout import ci_config_for, generate_benchpark_tree
+from repro.spack.concretizer import Concretizer
 
 
 class TestCiConfigGeneration:
@@ -34,7 +33,7 @@ class TestCiConfigGeneration:
 
     def test_runs_on_simulated_gitlab(self, tmp_path):
         """The generated pipeline executes end to end on a tagged runner."""
-        from repro.ci import GitLab, Runner
+        from repro.ci.gitlab import GitLab, Runner
 
         root = generate_benchpark_tree(tmp_path / "bp",
                                        systems=["cts1"],
@@ -83,7 +82,7 @@ class TestDashboardReport:
         return db
 
     def test_report_sections(self):
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
 
         report = render_report(self._db())
         assert report.startswith("# Benchpark results dashboard")
@@ -92,7 +91,7 @@ class TestDashboardReport:
         assert "## benchmark usage" in report
 
     def test_report_averages(self):
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
 
         report = render_report(self._db())
         # cts1 bandwidth mean of 2.0 and 4.0 = 3.0
@@ -101,19 +100,19 @@ class TestDashboardReport:
         assert line
 
     def test_non_numeric_foms_skipped(self):
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
 
         report = render_report(self._db())
         assert "## success" not in report
 
     def test_empty_db(self):
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
 
         report = render_report(MetricsDatabase())
         assert "0 records" in report
 
     def test_report_tracks_appends(self):
-        from repro.analysis import render_report
+        from repro.analysis.dashboard import render_report
 
         db = self._db()
         render_report(db)

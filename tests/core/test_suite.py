@@ -50,7 +50,7 @@ class TestSuiteRuns:
         assert run.passed
 
     def test_shared_db_across_systems(self, tmp_path):
-        from repro.ci import MetricsDatabase
+        from repro.ci.metricsdb import MetricsDatabase
 
         db = MetricsDatabase()
         run_suite("smoke", "cts1", tmp_path / "a", db=db)
@@ -67,7 +67,7 @@ class TestArchspecFlagsInBuilds:
     def test_build_log_carries_target_flags(self, tmp_path):
         """§3.1.3 role 1: the build is tailored to the target uarch."""
         from repro.core.runtime import SpackRuntime
-        from repro.systems import get_system
+        from repro.systems.registry import get_system
 
         rt = SpackRuntime(get_system("ats4"), tmp_path / "store")
         spec = rt.concretize_together(["saxpy"])[0]
@@ -81,7 +81,7 @@ class TestArchspecFlagsInBuilds:
 
     def test_different_targets_different_flags(self, tmp_path):
         from repro.core.runtime import SpackRuntime
-        from repro.systems import get_system
+        from repro.systems.registry import get_system
         from pathlib import Path
 
         logs = {}

@@ -7,9 +7,10 @@ import shutil
 import pytest
 import yaml
 
-from repro.core import generate_benchpark_tree
-from repro.ramble import Workspace
-from repro.systems import SystemExecutor, get_system
+from repro.core.layout import generate_benchpark_tree
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import SystemExecutor
+from repro.systems.registry import get_system
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ class TestTreeArtifactsRun:
 
     def test_tree_configs_parse_for_every_pair(self, tree):
         """Every stored ramble.yaml is valid YAML naming a known app."""
-        from repro.ramble import builtin_applications
+        from repro.ramble.apps import builtin_applications
 
         apps = builtin_applications()
         for ramble_yaml in tree.glob("experiments/*/*/ramble.yaml"):

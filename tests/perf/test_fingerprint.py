@@ -22,8 +22,7 @@ from repro.perf import (
     fingerprint_file,
     package_signature,
 )
-from repro.spack import Concretizer
-from repro.spack.concretizer import clear_concretization_memo
+from repro.spack.concretizer import Concretizer, clear_concretization_memo
 from repro.spack.repository import builtin_repo
 
 from .fingerprint_oracle import canonical_text

@@ -12,8 +12,8 @@ import yaml
 from repro.core.layout import generate_benchpark_tree
 from repro.perf import fingerprint, fingerprint_file
 from repro.ramble.workspace import Workspace
-from repro.spack import Concretizer
 from repro.spack.concretizer import (
+    Concretizer,
     clear_concretization_memo,
     concretization_memo,
 )

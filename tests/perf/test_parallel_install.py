@@ -4,7 +4,10 @@ no-op the second time; the DAG's critical path, read off the same spec by
 
 import pytest
 
-from repro.spack import Concretizer, Installer, Store, critical_path, graph_stats
+from repro.spack.concretizer import Concretizer
+from repro.spack.graph import critical_path, graph_stats
+from repro.spack.installer import Installer
+from repro.spack.store import Store
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.ramble import Workspace
 from repro.ramble.archive import (
     ArchiveError,
     archive_workspace,
@@ -13,7 +12,8 @@ from repro.ramble.archive import (
     restore_workspace,
     save_archive,
 )
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 def _config(n_values=("256", "512")):

@@ -1,7 +1,7 @@
 """Tests for workload env_vars (Figure 10 lines 14-16)."""
 
-from repro.ramble import Workspace
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 def _config():

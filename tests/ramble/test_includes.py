@@ -3,8 +3,8 @@
 
 import yaml
 
-from repro.ramble import Workspace
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 def build_workspace_with_includes(tmp_path):

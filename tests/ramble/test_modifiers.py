@@ -2,13 +2,13 @@
 into the workspace run/analyze pipeline."""
 
 from repro.analysis.caliper import CaliperSession, region
-from repro.ramble import Workspace
 from repro.ramble.modifiers import (
     CaliperModifier,
     HardwareCountersModifier,
     Modifier,
 )
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 def saxpy_config():

@@ -3,13 +3,13 @@ criteria declared in ramble.yaml (§4.5, Table 1 row 5)."""
 
 import pytest
 
-from repro.ramble import Workspace
 from repro.ramble.application import (
     ApplicationError,
     SuccessCriterionDef,
     _eval_comparison,
 )
-from repro.systems import LocalExecutor
+from repro.ramble.workspace import Workspace
+from repro.systems.executor import LocalExecutor
 
 
 class TestEvalComparison:

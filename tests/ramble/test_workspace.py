@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from repro.ramble import Workspace, WorkspaceError
 from repro.ramble.software import SoftwareError, merge_spack_sections, resolve_environment
 from repro.ramble.templates import DEFAULT_EXECUTE_TEMPLATE, TemplateError, render_template
-from repro.systems import LocalExecutor, SystemExecutor, get_system
+from repro.ramble.workspace import Workspace, WorkspaceError
+from repro.systems.executor import LocalExecutor, SystemExecutor
+from repro.systems.registry import get_system
 
 
 def figure10_config(n_values=("512", "1024")):

@@ -3,16 +3,13 @@
 import pytest
 
 from repro.ci.pipeline import CiConfigError, build_pipeline, parse_ci_config, run_pipeline
-from repro.spack import (
-    BinaryCache,
-    Concretizer,
-    Environment,
-    Installer,
-    Spec,
-    Store,
-)
+from repro.spack.binary_cache import BinaryCache
 from repro.spack.ci_pipeline import generate_ci_pipeline, job_name_for
-from repro.spack.spec import SpecError
+from repro.spack.concretizer import Concretizer
+from repro.spack.environment import Environment
+from repro.spack.installer import Installer
+from repro.spack.spec import Spec, SpecError
+from repro.spack.store import Store
 
 
 @pytest.fixture

@@ -17,22 +17,14 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spack import (
-    Compiler,
-    CompilerRegistry,
-    CompilerSpec,
-    ConfigScope,
-    Configuration,
-    Concretizer,
-    RepoPath,
-    Repository,
-    SpecError,
-    Version,
-    builtin_repo,
-    parse_spec,
-)
-from repro.spack.concretizer import clear_concretization_memo
+from repro.spack.compiler import Compiler, CompilerRegistry
+from repro.spack.concretizer import Concretizer, clear_concretization_memo
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.parser import parse_spec
+from repro.spack.repository import RepoPath, Repository, builtin_repo
+from repro.spack.spec import CompilerSpec, SpecError
 from repro.spack.variant import VariantDef
+from repro.spack.version import Version
 
 #: root lists; under ``unify`` the first three solve differently (a shared
 #: hypre+openmp, a conflict, a shared caliper~adiak) than root by root

@@ -3,19 +3,12 @@ Figure 3/4 configuration behaviours (externals, buildable: false)."""
 
 import pytest
 
-from repro.spack import (
-    Compiler,
-    CompilerRegistry,
-    CompilerSpec,
-    ConcretizationError,
-    Concretizer,
-    ConfigScope,
-    Configuration,
-    UnsatisfiableSpecError,
-    Version,
-    parse_spec,
-)
-from repro.spack.concretizer import NoVersionError
+from repro.spack.compiler import Compiler, CompilerRegistry
+from repro.spack.concretizer import ConcretizationError, Concretizer, NoVersionError
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.parser import parse_spec
+from repro.spack.spec import CompilerSpec, UnsatisfiableSpecError
+from repro.spack.version import Version
 
 
 @pytest.fixture

@@ -5,21 +5,22 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from repro.spack import (
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.package import (
     CMakePackage,
-    ConfigScope,
-    Configuration,
     Package,
-    Repository,
-    RepoPath,
-    builtin_repo,
     depends_on,
-    parse_spec,
     provides,
     variant,
     version,
 )
-from repro.spack.repository import UnknownPackageError
+from repro.spack.parser import parse_spec
+from repro.spack.repository import (
+    RepoPath,
+    Repository,
+    UnknownPackageError,
+    builtin_repo,
+)
 from repro.spack.variant import (
     VariantDef,
     normalize_value,

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.spack import (
-    Compiler,
-    CompilerRegistry,
-    CompilerSpec,
-    Concretizer,
-    ConfigScope,
-    Configuration,
-    Version,
-    diff_specs,
-    parse_spec,
-)
-from repro.spack.spec import SpecError
+from repro.spack.compiler import Compiler, CompilerRegistry
+from repro.spack.concretizer import Concretizer
+from repro.spack.config import ConfigScope, Configuration
+from repro.spack.diff import diff_specs
+from repro.spack.parser import parse_spec
+from repro.spack.spec import CompilerSpec, SpecError
+from repro.spack.version import Version
 
 
 @pytest.fixture

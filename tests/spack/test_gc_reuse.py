@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.spack import Concretizer, Installer, Store, Version, parse_spec
+from repro.spack.concretizer import Concretizer
+from repro.spack.installer import Installer
+from repro.spack.parser import parse_spec
+from repro.spack.store import Store
+from repro.spack.version import Version
 
 
 @pytest.fixture

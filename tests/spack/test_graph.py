@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.runtime import SpackRuntime
-from repro.spack import Concretizer, Spec, SpecError, parse_spec
+from repro.spack.concretizer import Concretizer
 from repro.spack.graph import critical_path, graph_stats, parallel_makespan
-from repro.systems import get_system
+from repro.spack.parser import parse_spec
+from repro.spack.spec import Spec, SpecError
+from repro.systems.registry import get_system
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +77,10 @@ class TestGraph:
         assert stats["max_parallel_speedup"] >= 1.0
 
     def test_external_costs_zero(self):
-        from repro.spack import (
-            Compiler, CompilerRegistry, CompilerSpec, ConfigScope,
-            Configuration, Version,
-        )
+        from repro.spack.compiler import Compiler, CompilerRegistry
+        from repro.spack.config import ConfigScope, Configuration
+        from repro.spack.spec import CompilerSpec
+        from repro.spack.version import Version
 
         config = Configuration(ConfigScope("s", {"packages": {
             "mvapich2": {"externals": [

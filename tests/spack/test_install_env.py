@@ -5,19 +5,14 @@ import json
 
 import pytest
 
-from repro.spack import (
-    BinaryCache,
-    Compiler,
-    CompilerRegistry,
-    CompilerSpec,
-    Concretizer,
-    Environment,
-    Installer,
-    Store,
-    Version,
-)
-from repro.spack.installer import InstallError
-from repro.spack.store import StoreError
+from repro.spack.binary_cache import BinaryCache
+from repro.spack.compiler import Compiler, CompilerRegistry
+from repro.spack.concretizer import Concretizer
+from repro.spack.environment import Environment
+from repro.spack.installer import InstallError, Installer
+from repro.spack.spec import CompilerSpec
+from repro.spack.store import Store, StoreError
+from repro.spack.version import Version
 
 
 @pytest.fixture
@@ -63,7 +58,7 @@ class TestStore:
         assert reopened.is_installed(spec)
 
     def test_query_constraint(self, store, concretizer):
-        from repro.spack import parse_spec
+        from repro.spack.parser import parse_spec
 
         store.add(concretizer.concretize("cmake@3.23.1"))
         store.add(concretizer.concretize("cmake@3.26.3"))
@@ -97,7 +92,7 @@ class TestInstaller:
         assert set(names) == {n.name for n in spec.traverse()}
 
     def test_abstract_spec_rejected(self, installer):
-        from repro.spack import parse_spec
+        from repro.spack.parser import parse_spec
 
         with pytest.raises(InstallError, match="concrete"):
             installer.install(parse_spec("saxpy"))

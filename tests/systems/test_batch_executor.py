@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.ramble import Workspace
-from repro.systems import get_system
+from repro.ramble.workspace import Workspace
 from repro.systems.batch_executor import BatchExecutor
+from repro.systems.registry import get_system
 
 
 def _config(n_nodes=("1", "2")):

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.systems import get_system
 from repro.systems.codesign import compare_systems, predict_suite
 from repro.systems.descriptor import GpuSpec, InterconnectSpec, SystemDescriptor
+from repro.systems.registry import get_system
 
 
 def hypothetical(name="proposal-x", mem_bw=400.0, cores=128,

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.systems import get_system
 from repro.systems.failures import (
     Degradation,
     FailureSchedule,
     HEALTHY,
     apply_degradation,
 )
+from repro.systems.registry import get_system
 
 
 class TestDegradation:
@@ -119,7 +119,7 @@ class TestFailureSchedule:
 class TestDegradationAffectsBenchmarks:
     def test_degraded_memory_slows_saxpy(self, tmp_path):
         """The end-to-end effect a regression detector must see."""
-        from repro.systems import SystemExecutor
+        from repro.systems.executor import SystemExecutor
         from repro.systems.performance import scale_compute_time
 
         cts1 = get_system("cts1")

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.systems import BatchScheduler, Job, SchedulerError, get_system
 from repro.systems.descriptor import InterconnectSpec, SystemDescriptor
 from repro.systems.executor import (
     ExecutorError,
@@ -12,6 +11,8 @@ from repro.systems.executor import (
     parse_script_commands,
     _strip_launcher,
 )
+from repro.systems.registry import get_system
+from repro.systems.scheduler import BatchScheduler, Job, SchedulerError
 
 
 def small_system(nodes=4):
@@ -243,13 +244,11 @@ class TestExecutors:
 
 
 class TestGpuVariantExecution:
-    def _run(self, experiment_id, system):
-        import tempfile
-        from pathlib import Path
-        from repro.core import benchpark_setup
+    def _run(self, tmp_path, experiment_id, system):
+        from repro.core.driver import benchpark_setup
 
-        tmp = Path(tempfile.mkdtemp())
-        session = benchpark_setup(experiment_id, system, tmp / "ws")
+        workdir = tmp_path / experiment_id.replace("/", "-") / "ws"
+        session = benchpark_setup(experiment_id, system, workdir)
         results = session.run_all()
         values = [
             f["value"]
@@ -260,25 +259,22 @@ class TestGpuVariantExecution:
         log = session.workspace.experiments[0].log_file.read_text()
         return max(values), log
 
-    def test_cuda_variant_offloads(self):
+    def test_cuda_variant_offloads(self, tmp_path):
         """§2's heterogeneous example: the +cuda build of saxpy runs on the
         V100 and shows GPU-class bandwidth; the +openmp build on the same
         machine shows CPU-class bandwidth."""
-        cpu_bw, cpu_log = self._run("saxpy/openmp", "ats2")
-        gpu_bw, gpu_log = self._run("saxpy/cuda", "ats2")
+        cpu_bw, cpu_log = self._run(tmp_path, "saxpy/openmp", "ats2")
+        gpu_bw, gpu_log = self._run(tmp_path, "saxpy/cuda", "ats2")
         assert "# offloading to V100" in gpu_log
         assert "offloading" not in cpu_log
         # V100 HBM (900 GB/s) vs Power9 DDR (170 GB/s): ~5x
         assert gpu_bw > cpu_bw * 3
 
-    def test_gpu_variant_on_cpu_system_stays_cpu(self):
+    def test_gpu_variant_on_cpu_system_stays_cpu(self, tmp_path):
         """No GPU on cts1: a +cuda request still runs, on the CPU."""
-        import tempfile
-        from pathlib import Path
-        from repro.core import benchpark_setup
+        from repro.core.driver import benchpark_setup
 
-        tmp = Path(tempfile.mkdtemp())
-        session = benchpark_setup("saxpy/cuda", "cts1", tmp / "ws")
+        session = benchpark_setup("saxpy/cuda", "cts1", tmp_path / "ws")
         results = session.run_all()
         log = session.workspace.experiments[0].log_file.read_text()
         assert "offloading" not in log

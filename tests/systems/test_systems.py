@@ -5,14 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.systems import (
-    InterconnectSpec,
-    MpiCostModel,
-    SYSTEMS,
-    all_system_names,
-    get_system,
-)
-from repro.systems.descriptor import GpuSpec, SystemDescriptor
+from repro.systems.descriptor import GpuSpec, InterconnectSpec, SystemDescriptor
+from repro.systems.mpi_model import MpiCostModel
+from repro.systems.registry import SYSTEMS, all_system_names, get_system
 
 
 class TestRegistry:
@@ -49,7 +44,7 @@ class TestRegistry:
         assert "flux" in ats4.mpi_command
 
     def test_all_targets_in_archspec(self):
-        from repro.archspec import get_target
+        from repro.archspec.database import get_target
 
         for system in SYSTEMS.values():
             get_target(system.cpu_target)  # must not raise
@@ -166,7 +161,7 @@ class TestMpiCostModel:
 
 class TestPerformanceModels:
     def test_saxpy_model_gpu_faster(self):
-        from repro.systems import saxpy_model_seconds
+        from repro.systems.performance import saxpy_model_seconds
 
         ats2 = get_system("ats2")
         cpu = saxpy_model_seconds(1 << 24, ats2, use_gpu=False)
@@ -174,7 +169,7 @@ class TestPerformanceModels:
         assert gpu < cpu
 
     def test_saxpy_model_comm_dominates_small(self):
-        from repro.systems import saxpy_model_seconds
+        from repro.systems.performance import saxpy_model_seconds
 
         cts1 = get_system("cts1")
         serial = saxpy_model_seconds(512, cts1, n_ranks=1)
@@ -182,7 +177,7 @@ class TestPerformanceModels:
         assert parallel > serial  # tiny problem: comm overhead wins
 
     def test_saxpy_model_scaling_large(self):
-        from repro.systems import saxpy_model_seconds
+        from repro.systems.performance import saxpy_model_seconds
 
         ats4 = get_system("ats4")
         serial = saxpy_model_seconds(1 << 26, ats4, n_ranks=1)
@@ -190,20 +185,20 @@ class TestPerformanceModels:
         assert parallel < serial  # big problem: parallelism wins
 
     def test_saxpy_model_validates_input(self):
-        from repro.systems import saxpy_model_seconds
+        from repro.systems.performance import saxpy_model_seconds
 
         with pytest.raises(ValueError):
             saxpy_model_seconds(0, get_system("cts1"))
 
     def test_stream_model_kernel_validation(self):
-        from repro.systems import stream_model_rate_mbs
+        from repro.systems.performance import stream_model_rate_mbs
 
         assert stream_model_rate_mbs(get_system("cts1"), "Triad") > 0
         with pytest.raises(ValueError):
             stream_model_rate_mbs(get_system("cts1"), "Quadd")
 
     def test_amg_cycle_model(self):
-        from repro.systems import amg_cycle_model_seconds
+        from repro.systems.performance import amg_cycle_model_seconds
 
         cts1 = get_system("cts1")
         t1 = amg_cycle_model_seconds(10**6, 7 * 10**6, cts1, n_ranks=1)
@@ -211,7 +206,7 @@ class TestPerformanceModels:
         assert 0 < t64 < t1
 
     def test_scale_compute_time_rewrites(self):
-        from repro.systems import scale_compute_time
+        from repro.systems.performance import scale_compute_time
 
         text = "saxpy kernel time: 0.001 s\nsaxpy bandwidth: 10.0 GB/s\n"
         ats4 = get_system("ats4")  # much higher mem bw than reference

@@ -13,18 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import render_report
-from repro.ci import (
-    GitHub,
-    JacamarExecutor,
-    MetricsDatabase,
-    Runner,
-    SiteAccounts,
-)
+from repro.analysis.dashboard import render_report
 from repro.ci.federation import Federation
-from repro.core import benchpark_setup
-from repro.ramble import Workspace, archive_workspace, restore_workspace
-from repro.systems import BatchExecutor, get_system
+from repro.ci.github import GitHub
+from repro.ci.gitlab import Runner
+from repro.ci.jacamar import JacamarExecutor, SiteAccounts
+from repro.ci.metricsdb import MetricsDatabase
+from repro.core.driver import benchpark_setup
+from repro.ramble.archive import archive_workspace, restore_workspace
+from repro.ramble.workspace import Workspace
+from repro.systems.batch_executor import BatchExecutor
+from repro.systems.registry import get_system
 
 CI_YAML = """
 stages: [bench]
@@ -124,7 +123,9 @@ class TestQueuedCampaignWithArchive:
 
 class TestReuseAcrossCampaigns:
     def test_second_campaign_installs_nothing(self, tmp_path):
-        from repro.spack import Concretizer, Installer, Store
+        from repro.spack.concretizer import Concretizer
+        from repro.spack.installer import Installer
+        from repro.spack.store import Store
 
         store = Store(tmp_path / "store")
         first = Concretizer()

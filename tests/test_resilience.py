@@ -405,7 +405,7 @@ class TestFaultTolerantCampaign:
             **kwargs,
         )
 
-    def test_flaky_campaign_completes_with_retries(self, tmp_path):
+    def test_flaky_campaign_completes_with_retries(self, tmp_path, fixed_clock):
         loop = self._loop(tmp_path).run(epochs=6)
         assert loop.epochs_run == 6
         # transient faults were hit and retried, not failed
