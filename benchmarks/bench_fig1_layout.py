@@ -11,7 +11,9 @@ from repro.core.layout import generate_benchpark_tree, render_tree, validate_tre
 
 def test_figure1a_tree(benchmark, artifact, tmp_path_factory):
     def generate():
-        root = tmp_path_factory.mktemp("bp")
+        # a fixed basename, so the listing's first line does not follow
+        # pytest's temp-directory numbering
+        root = tmp_path_factory.mktemp("bp") / "benchpark"
         return generate_benchpark_tree(
             root,
             systems=["cts1", "ats2", "ats4"],

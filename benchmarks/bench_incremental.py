@@ -18,7 +18,12 @@ numbers to ``BENCH_incremental.json``:
    pass a foreign campaign (the same experiment on ``FOREIGN_SYSTEM``)
    runs cold into the shared cache; a journal holds only what its own
    epochs ingested, so the warm journal may be at most
-   ``JOURNAL_SHARE_MAX`` times the size of the cold one.  Reopening the
+   ``JOURNAL_SHARE_MAX`` times the size of the cold one.  A journal names
+   no workdir: no byte of any journal the bench writes may contain the
+   directory the campaigns run in, and no epoch line may name a manifest
+   variable (``experiment_run_dir`` and the rest of the set-up record's
+   variables), which the set-up record holds once per set-up; its size is
+   reported as ``setup_record_bytes``.  Reopening the
    warm campaign with the shared cache must make no lookup or put in it,
    and the reopened campaign's report must equal the live one's.  The warm
    pass hashes its set-up inputs once and each epoch key once: it may make
@@ -48,8 +53,8 @@ Run directly (not under pytest)::
 
 ``--quick`` shrinks the campaign for CI and skips the wall-clock speedup
 gate (timings on loaded CI runners are noisy); the hit-rate, flatness,
-set-up, journal-share, encoder-pass, region and resume gates always
-apply.
+set-up, journal-share, workdir-free journal, manifest-free epoch line,
+encoder-pass, region and resume gates always apply.
 """
 
 from __future__ import annotations
@@ -145,6 +150,24 @@ def _run(campaign: ContinuousBenchmarking, epochs: int) -> tuple:
     return written[1:], visits
 
 
+def _journal_layout(campaigns, base: Path) -> dict:
+    """Per campaign, the size of its set-up record; and whether any
+    journal names ``base`` or holds an epoch line naming a manifest
+    variable as a key."""
+    setup_bytes, named, keyed = {}, False, False
+    for name, campaign in campaigns.items():
+        header, setup, *lines = campaign.checkpoint_path.read_bytes(
+        ).splitlines(keepends=True)
+        setup_bytes[name] = len(setup)
+        named |= str(base).encode() in header + setup + b"".join(lines)
+        variables = {f'"{v}":'.encode() for exp in json.loads(setup)[
+            "experiments"] for v in exp["variables"]}
+        keyed |= any(v in line for line in lines for v in variables)
+    return {"setup_record_bytes": setup_bytes,
+            "journal_names_workdir": named,
+            "epoch_line_names_variable": keyed}
+
+
 def bench_warm_campaign(epochs: int, base: Path) -> dict:
     shared = ContentStore("epoch-results")
 
@@ -154,7 +177,7 @@ def bench_warm_campaign(epochs: int, base: Path) -> dict:
     )
     cold_bytes, _ = _run(cold, epochs)
     cold_s = time.perf_counter() - t0
-    ContinuousBenchmarking(
+    foreign = ContinuousBenchmarking(
         EXPERIMENT, FOREIGN_SYSTEM, base / "foreign", result_cache=shared,
     ).run(epochs)
 
@@ -218,6 +241,8 @@ def bench_warm_campaign(epochs: int, base: Path) -> dict:
         "foms_identical": True,
         "regressions_identical": True,
         "journal_bytes_per_epoch": {"cold": cold_bytes, "warm": warm_bytes},
+        **_journal_layout(
+            {"cold": cold, "foreign": foreign, "warm": warm}, base),
         "journal_share": (warm.checkpoint_path.stat().st_size
                           / cold.checkpoint_path.stat().st_size),
         "setup_visits": cold_profile.regions()["epoch:setup"].visits,
@@ -364,6 +389,11 @@ def main(argv=None) -> int:
             f"warm journal is {campaign['journal_share']:.2f} x the cold "
             f"journal's size > {JOURNAL_SHARE_MAX}"
         )
+    if campaign["journal_names_workdir"]:
+        failures.append("a journal names the directory its campaign ran in")
+    if campaign["epoch_line_names_variable"]:
+        failures.append("an epoch line names a manifest variable; the "
+                        "set-up record holds them")
     if campaign["layer_regions_missing"]:
         failures.append(
             f"cold campaign's Caliper session lacks the layer regions "

@@ -14,7 +14,9 @@ which feeds each tracked series only its new samples.
 Like Ramble's ``workspace setup`` / ``ramble on`` split (§3.2), the campaign
 sets one workspace up under ``workdir/workspace/`` and runs each cold epoch's
 experiments into ``workdir/epoch-N/``; set-up runs again only when the
-fingerprint of its inputs changes.  That fingerprint is part of every epoch
+fingerprint of its inputs changes.  The journal stores each set-up's
+experiment manifests once, relative to the workdir, and each epoch only its
+figures of merit and verdicts.  That fingerprint is part of every epoch
 key, and is hashed again only when the inputs' pickle differs from the one
 they were last hashed from, so a replayed epoch makes one encoder pass, for
 its epoch key.  An epoch and a regression scan run with the campaign's
@@ -26,6 +28,7 @@ shows the loop localizing it in time.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import shutil
 from pathlib import Path
@@ -37,6 +40,7 @@ from repro.analysis.regression import RegressionEvent, epoch_means
 from repro.ci.metricsdb import MetricsDatabase
 from repro.perf import ContentStore, fingerprint
 from repro.ramble.apps import builtin_applications
+from repro.ramble.workspace import rerooted_keys
 from repro.resilience import (
     CircuitBreakerRegistry,
     FaultTolerantExecutor,
@@ -53,9 +57,12 @@ from .driver import benchpark_setup, workspace_config
 __all__ = ["ContinuousBenchmarking"]
 
 #: journal schema version, bumped on incompatible layout changes
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
 #: the campaign journal's file name inside the workdir
 JOURNAL = "campaign.jsonl"
+#: what an epoch line keeps of each analyzed experiment; the rest of it is
+#: its set-up record's manifest
+RESULT_KEYS = ("name", "figures_of_merit", "success_criteria", "status")
 
 #: FOMs worth tracking per benchmark, with their direction.
 TRACKED_FOMS: Dict[str, List[tuple]] = {
@@ -125,9 +132,12 @@ class ContinuousBenchmarking:
         #: bytes of the journal's complete lines; None until there is a
         #: journal to append to
         self._journal_bytes: Optional[int] = None
-        #: (setup fingerprint, set-up workspace) of the campaign workspace;
-        #: None until a cold epoch sets it up
+        #: (setup fingerprint, set-up workspace, its set-up record) of the
+        #: campaign workspace; None until a cold epoch sets it up
         self._workspace: Optional[tuple] = None
+        #: (the last set-up record ingested, its :meth:`_static` form): the
+        #: manifests of the epoch lines after it
+        self._setup: Optional[tuple] = None
         #: (pickle of the set-up inputs, their fingerprint), so a replayed
         #: epoch hashes its set-up inputs only when they changed
         self._setup_memo: Optional[tuple] = None
@@ -162,13 +172,15 @@ class ContinuousBenchmarking:
     # -- journal / resume ----------------------------------------------
     @property
     def checkpoint_path(self) -> Path:
-        """The campaign journal: a header line, then one line per epoch."""
+        """The campaign journal: a header line, then one line per epoch,
+        each set-up record before the first epoch line that uses it."""
         return self.workdir / JOURNAL
 
     @annotate("journal.append")
     def _append(self, line: str) -> None:
-        """Append one epoch's encoded line — the only write the campaign
-        state gets, so its cost does not grow with the history."""
+        """Append one epoch's encoded line, after its set-up record when it
+        is the first to use it — the only write the campaign state gets, so
+        its cost does not grow with the history."""
         data = (line + "\n").encode()
         mode = "ab"
         if self._journal_bytes is None:  # a new journal: header first
@@ -287,12 +299,59 @@ class ContinuousBenchmarking:
             self._setup_memo = (snapshot, fingerprint(inputs))
         return self._setup_memo[1]
 
+    def _relative(self, variables: Dict[str, str]) -> Dict[str, str]:
+        """``variables`` with every path relative to the workdir."""
+        prefix = f"{self.workdir}{os.sep}"
+        return {k: v.replace(prefix, "") for k, v in variables.items()}
+
+    def _setup_record(self, key: str, workspace) -> Dict[str, Any]:
+        """The journal record of set-up ``key``: each experiment's static
+        manifest, as analysis reports it, relative to the workdir."""
+        return {"setup": key, "experiments": [
+            {"name": e.name, "application": e.application,
+             "workload": e.workload, "n_ranks": e.variables.get("n_ranks"),
+             "variables": self._relative(e.variables)}
+            for e in workspace.experiments]}
+
+    @staticmethod
+    def _static(record: Dict[str, Any]) -> Dict[str, tuple]:
+        """Each experiment of set-up ``record``, by name: its manifest, its
+        run directory, the part of that below the set-up workspace, and the
+        variables naming it, which an epoch moves
+        (:meth:`Workspace.rerooted`'s rule)."""
+        static = {}
+        for manifest in record["experiments"]:
+            variables = manifest["variables"]
+            run_dir = variables["experiment_run_dir"]
+            static[manifest["name"]] = (
+                manifest, run_dir, run_dir.split(os.sep, 1)[1],
+                rerooted_keys(variables, run_dir,
+                              variables["execute_experiment"]))
+        return static
+
+    @staticmethod
+    def _epoch_variables(static: tuple, epoch: int) -> Dict[str, str]:
+        """A set-up experiment's relative variables, given in its
+        :meth:`_static` form, as epoch ``epoch`` ran them: moved from the
+        set-up workspace into ``epoch-<epoch>/``."""
+        manifest, run_dir, below, keys = static
+        variables = dict(manifest["variables"])
+        moved = f"epoch-{epoch}{os.sep}{below}"
+        for k in keys:
+            variables[k] = variables[k].replace(run_dir, moved)
+        return variables
+
     def _ingest(self, line: Dict[str, Any]) -> int:
-        """Fold one epoch's journal line into the campaign — its results,
-        cache entry, attempt history and epoch-tagged records — and return
-        the FOMs recorded.  A live epoch and a resumed journal line both
-        come through here, so a resumed campaign equals the live one by
-        construction."""
+        """Fold one journal line into the campaign and return the FOMs
+        recorded.  A set-up record becomes the manifest source of the epoch
+        lines after it; an epoch line adds its results, cache entry,
+        attempt history and records, each record's manifest derived from
+        the set-up record for the epoch that ran cold.  A live epoch and a
+        resumed journal line both come through here, so a resumed campaign
+        equals the live one by construction."""
+        if "setup" in line:
+            self._setup = (line, self._static(line))
+            return 0
         epoch = self.epochs_run
         results, meta = line["results"], line.get("attempts", {})
         key, origin, tags = line.get("key"), epoch, {}
@@ -301,40 +360,56 @@ class ContinuousBenchmarking:
             tags = {"cached": "true", "cache_provenance": (
                 f"replayed clean epoch {origin} (fingerprint {key})")}
             self.epochs_replayed += 1
+        setup, static = self._setup
         if key is not None and key not in self.result_cache:  # resuming
-            self.result_cache.put(key, {"results": results, "epoch": origin})
+            self.result_cache.put(
+                key, {"results": results, "epoch": origin, "setup": setup})
         if meta:
             self.attempt_history[str(epoch)] = meta
         # Tag every record with its epoch for the time axis, plus the
         # attempt log so the analysis layer can tell converged samples from
-        # retried (flaky) ones.  Tags go on copies of the variables: the
-        # results payload stays untagged for the cache and the journal.
+        # retried (flaky) ones.
+        stamp = dict(epoch=str(epoch), attempts="1", flaky="false", **tags)
         experiments = []
-        for exp in results["experiments"]:
-            info = meta.get(exp["name"], {})
-            variables = dict(exp.get("variables", {}), epoch=str(epoch),
-                             attempts=str(info.get("attempts", 1)),
-                             flaky="true" if info.get("flaky") else "false",
-                             **tags)
-            if info.get("fault_kinds"):
-                variables["fault_kinds"] = ",".join(info["fault_kinds"])
-            experiments.append(dict(exp, variables=variables))
-        count = self.db.ingest_analysis(
-            self.system_name, dict(results, experiments=experiments))
+        for exp in results:
+            name = exp["name"]
+            variables = self._epoch_variables(static[name], origin)
+            variables.update(exp.get("variables", ()))
+            variables.update(stamp)
+            info = meta.get(name)
+            if info:
+                variables.update(
+                    attempts=str(info.get("attempts", 1)),
+                    flaky="true" if info.get("flaky") else "false")
+                if info.get("fault_kinds"):
+                    variables["fault_kinds"] = ",".join(info["fault_kinds"])
+            experiments.append({
+                "name": name, "application": static[name][0]["application"],
+                "figures_of_merit": exp["figures_of_merit"],
+                "variables": variables})
+        count = self.db.ingest_analysis(self.system_name,
+                                        {"experiments": experiments})
         self.epochs_run += 1
         return count
 
     def _commit(self, line: Dict[str, Any], entry: Dict[str, Any]) -> int:
         """Ingest a live epoch's line with ``entry``'s results, then append
-        it to the journal.  The results are JSON-encoded once per cache
-        entry — at its cold commit, or at its first replay in this process
-        — and the text is kept on the entry for every later replay."""
+        it to the journal, after ``entry``'s set-up record when that is not
+        the last one the campaign ingested.  The results are JSON-encoded
+        once per cache entry — at its cold commit, or at its first replay
+        in this process — and the text is kept on the entry for every
+        later replay."""
+        setup, text = entry["setup"], ""
+        if self._setup is None or self._setup[0]["setup"] != setup["setup"]:
+            self._ingest(setup)
+            text = json.dumps(setup, separators=(",", ":")) + "\n"
         count = self._ingest(dict(line, results=entry["results"]))
         if "results_json" not in entry:
             entry["results_json"] = json.dumps(entry["results"],
                                                separators=(",", ":"))
         rest = json.dumps(line, separators=(",", ":"))
-        self._append('{"results":' + entry["results_json"] + "," + rest[1:])
+        self._append(text + '{"results":' + entry["results_json"] + ","
+                     + rest[1:])
         return count
 
     def run_epoch(self) -> int:
@@ -365,13 +440,29 @@ class ContinuousBenchmarking:
                     benchpark = benchpark_setup(
                         self.experiment, self.system_name, self.workspace_dir)
                     benchpark.setup()
-                self._workspace = (setup_key, benchpark.workspace)
+                self._workspace = (setup_key, benchpark.workspace,
+                                   self._setup_record(setup_key,
+                                                      benchpark.workspace))
             with region("epoch:run"):
                 workspace = self._workspace[1].rerooted(
                     self.workdir / f"epoch-{epoch}")
                 outcomes = workspace.run(self._executor(system, epoch))
             with region("epoch:analyze"):
-                results = workspace.analyze()
+                analyzed = workspace.analyze()
+            # the line keeps an experiment's variables only where the run
+            # changed them from its set-up record's
+            setup = self._workspace[2]
+            static = self._static(setup)
+            results = []
+            for exp in analyzed["experiments"]:
+                result = {k: exp[k] for k in RESULT_KEYS if k in exp}
+                ran = self._epoch_variables(static[exp["name"]], epoch)
+                changed = {k: v for k, v in
+                           self._relative(exp["variables"]).items()
+                           if ran.get(k) != v}
+                if changed:
+                    result["variables"] = changed
+                results.append(result)
             # every run that was retried, flaky or not completed (a refused
             # run made 0 attempts) goes into the attempt history
             meta: Dict[str, Any] = {}
@@ -389,7 +480,7 @@ class ContinuousBenchmarking:
                         "state": state,
                     }
             line: Dict[str, Any] = {"attempts": meta}
-            entry = {"results": results, "epoch": epoch}
+            entry = {"results": results, "epoch": epoch, "setup": setup}
             # only a clean epoch — every run converged on its first attempt
             # with no fault — is safe to serve from the cache later
             if not meta and all(

@@ -52,7 +52,18 @@ from .matrices import expand_matrix
 from .software import merge_spack_sections, resolve_environment
 from .templates import DEFAULT_EXECUTE_TEMPLATE, render_template
 
-__all__ = ["Workspace", "Experiment", "WorkspaceError"]
+__all__ = ["Workspace", "Experiment", "WorkspaceError", "rerooted_keys"]
+
+
+def rerooted_keys(variables: Mapping[str, str], run_dir: str,
+                  script: str) -> List[str]:
+    """The variables a run moved out of ``run_dir`` rewrites: every one
+    naming that run directory, except those naming the rendered
+    ``script``, which stays in the set-up workspace.
+    :meth:`Workspace.rerooted` and a campaign's journal derive a run's
+    paths by this one rule."""
+    return [k for k, v in variables.items()
+            if run_dir in v and script not in v]
 
 
 class WorkspaceError(RuntimeError):
@@ -385,9 +396,9 @@ class Workspace:
             run_dir = view.experiments_dir / exp.run_dir.relative_to(
                 self.experiments_dir)
             run_dir.mkdir(parents=True, exist_ok=True)
-            old, script = str(exp.run_dir), str(exp.script_path)
-            variables = {k: v if script in v else v.replace(old, str(run_dir))
-                         for k, v in exp.variables.items()}
+            old, variables = str(exp.run_dir), dict(exp.variables)
+            for k in rerooted_keys(variables, old, str(exp.script_path)):
+                variables[k] = variables[k].replace(old, str(run_dir))
             view.experiments.append(replace(
                 exp, variables=variables, run_dir=run_dir))
         return view
@@ -445,7 +456,7 @@ class Workspace:
             ],
         }
         (self.path / "results.latest.json").write_text(
-            json.dumps(results, indent=2, sort_keys=True)
+            json.dumps(results, sort_keys=True, separators=(",", ":"))
         )
         return results
 

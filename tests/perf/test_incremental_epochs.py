@@ -65,8 +65,8 @@ class TestWarmCampaign:
         # the tags go on the records, never on the cached results
         system = warm.schedule.system_at(warm.base_system, 0)
         entry = shared.peek(warm._epoch_key(system, 0, warm._setup_key()))
-        for exp in entry["results"]["experiments"]:
-            assert not {"epoch", "cached"} & set(exp["variables"])
+        for exp in entry["results"]:
+            assert not {"epoch", "cached"} & set(exp.get("variables", {}))
 
     def test_warm_campaign_reproduces_detected_regression(self, tmp_path):
         """A degradation found cold is found identically warm — the replay

@@ -429,11 +429,12 @@ class TestFaultTolerantCampaign:
         assert json.loads(lines[0]) == {
             "version": JOURNAL_VERSION, "experiment": "stream/openmp",
             "system": "cts1"}
-        assert len(lines) == 2
-        assert json.loads(lines[1])["results"]["experiments"]
+        assert len(lines) == 3  # the set-up record precedes epoch 0
+        assert json.loads(lines[1])["experiments"]
+        assert json.loads(lines[2])["results"]
         loop.run_epoch()  # one more line per epoch, the earlier ones kept
-        assert loop.checkpoint_path.read_text().splitlines()[:2] == lines
-        assert len(loop.checkpoint_path.read_text().splitlines()) == 3
+        assert loop.checkpoint_path.read_text().splitlines()[:3] == lines
+        assert len(loop.checkpoint_path.read_text().splitlines()) == 4
 
     def test_refused_runs_recorded_in_history(self, tmp_path):
         """A run refused by an open circuit breaker made no attempt; it
