@@ -45,7 +45,11 @@ numbers to ``BENCH_incremental.json``:
    ``FRESH_PROCESSES`` (``FRESH_PROCESSES_QUICK`` with ``--quick``) new
    interpreters runs ``ContinuousBenchmarking.open(workdir).run(1)`` and
    ``regressions()``.  Reported: each process's wall time as seen from
-   here, interpreter start included, and whether it loaded SciPy.
+   here, interpreter start included, its CPU time (user + system, from
+   ``getrusage(RUSAGE_CHILDREN)``), and what it loaded: whether SciPy, how
+   many ``repro.*`` modules and how many modules in all.  Every process
+   must load the same modules; those counts are deterministic, where the
+   wall time on a shared machine is not.
 
 Run directly (not under pytest)::
 
@@ -62,6 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -104,12 +109,15 @@ FRESH_EXPERIMENT = "saxpy/openmp"
 FRESH_PROCESSES, FRESH_PROCESSES_QUICK = 10, 3
 #: one nightly epoch: resume the campaign, run an epoch, score it
 NIGHTLY = """
-import sys
+import json, sys
 from repro.core.continuous import ContinuousBenchmarking
 campaign = ContinuousBenchmarking.open(sys.argv[1])
 campaign.run(1)
 campaign.regressions()
-print("scipy" in sys.modules)
+print(json.dumps({
+    "scipy_loaded": "scipy" in sys.modules,
+    "repro_modules": sum(1 for m in sys.modules if m.startswith("repro.")),
+    "modules": len(sys.modules)}))
 """
 
 
@@ -300,18 +308,24 @@ def bench_fresh_process(processes: int) -> dict:
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    wall_ms, scipy_loaded = [], []
+    wall_ms, cpu_ms, loaded = [], [], []
     with tempfile.TemporaryDirectory() as workdir:
         ContinuousBenchmarking(FRESH_EXPERIMENT, SYSTEM, workdir).run(1)
         for _ in range(processes):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             t0 = time.perf_counter()
             out = subprocess.run([sys.executable, "-c", NIGHTLY, workdir],
                                  env=env, capture_output=True, text=True,
                                  check=True)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
-            scipy_loaded.append(out.stdout.strip() == "True")
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu_ms.append((after.ru_utime - before.ru_utime
+                           + after.ru_stime - before.ru_stime) * 1e3)
+            loaded.append(json.loads(out.stdout))
         epochs = ContinuousBenchmarking.open(workdir).epochs_run
     assert epochs == processes + 1, "every fresh process must add one epoch"
+    assert all(m == loaded[0] for m in loaded), \
+        f"fresh processes loaded different modules: {loaded}"
     return {
         "experiment": FRESH_EXPERIMENT,
         "system": SYSTEM,
@@ -320,7 +334,9 @@ def bench_fresh_process(processes: int) -> dict:
         "wall_ms_median": statistics.median(wall_ms),
         "wall_ms_min": min(wall_ms),
         "wall_ms_max": max(wall_ms),
-        "scipy_loaded": any(scipy_loaded),
+        "cpu_ms": cpu_ms,
+        "cpu_ms_median": statistics.median(cpu_ms),
+        **loaded[0],
     }
 
 

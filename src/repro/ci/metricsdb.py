@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,18 +52,15 @@ class MetricsDatabase:
     def __init__(self):
         self._records: List[MetricRecord] = []
         self._seq = itertools.count(1)
-        # Secondary indexes so the regression detector's (benchmark, system)
-        # scans and dashboard (system, experiment) lookups stop walking every
-        # sample ever recorded.  Lists keep insertion (seq) order, matching
-        # full-scan results exactly.
+        # Secondary index so the regression detector's (benchmark, system)
+        # scans stop walking every sample ever recorded.  Lists keep
+        # insertion (seq) order, matching full-scan results exactly.
         self._by_system_benchmark: Dict[Tuple[str, str], List[MetricRecord]] = {}
-        self._by_system_experiment: Dict[Tuple[str, str], List[MetricRecord]] = {}
 
     # -- ingestion -------------------------------------------------------
     def _insert(self, rec: MetricRecord) -> MetricRecord:
         self._records.append(rec)
         self._by_system_benchmark.setdefault((rec.system, rec.benchmark), []).append(rec)
-        self._by_system_experiment.setdefault((rec.system, rec.experiment), []).append(rec)
         return rec
 
     def record(self, benchmark: str, system: str, experiment: str,
@@ -113,16 +110,12 @@ class MetricsDatabase:
 
     def query(self, benchmark: Optional[str] = None, system: Optional[str] = None,
               fom_name: Optional[str] = None,
-              experiment: Optional[str] = None,
-              predicate: Optional[Callable[[MetricRecord], bool]] = None,
               exclude_flaky: bool = False) -> List[MetricRecord]:
-        # Narrow the candidate set through an index before filtering: the
+        # Narrow the candidate set through the index before filtering: the
         # regression detector queries (benchmark, system, fom) per tracked
         # FOM, which was a full scan per call.
         candidates: List[MetricRecord]
-        if system is not None and experiment is not None:
-            candidates = self._by_system_experiment.get((system, experiment), [])
-        elif system is not None and benchmark is not None:
+        if system is not None and benchmark is not None:
             candidates = self._by_system_benchmark.get((system, benchmark), [])
         else:
             candidates = self._records
@@ -132,11 +125,7 @@ class MetricsDatabase:
                 continue
             if system is not None and rec.system != system:
                 continue
-            if experiment is not None and rec.experiment != experiment:
-                continue
             if fom_name is not None and rec.fom_name != fom_name:
-                continue
-            if predicate is not None and not predicate(rec):
                 continue
             if exclude_flaky and self.is_flaky(rec):
                 continue
@@ -211,36 +200,11 @@ class MetricsDatabase:
             usage[rec.benchmark] = usage.get(rec.benchmark, 0) + 1
         return dict(sorted(usage.items(), key=lambda kv: -kv[1]))
 
-    # -- persistence -----------------------------------------------------------
+    # -- views -----------------------------------------------------------------
     def to_records(self) -> List[Dict[str, Any]]:
-        """JSON-serializable record list."""
+        """JSON-serializable record list (a view: the campaign journal is the
+        persistence format)."""
         return [r.to_dict() for r in self._records]
-
-    @classmethod
-    def from_records(cls, records: List[Dict[str, Any]]) -> "MetricsDatabase":
-        """Rebuild a database from :meth:`to_records` output.
-
-        Original sequence numbers are preserved (a round trip is the
-        identity, not a re-numbering) and both secondary indexes are
-        rebuilt so indexed queries on the loaded database match a full scan.
-        """
-        db = cls()
-        max_seq = 0
-        for d in records:
-            seq = int(d["seq"]) if d.get("seq") is not None else next(db._seq)
-            max_seq = max(max_seq, seq)
-            db._insert(MetricRecord(
-                seq=seq,
-                benchmark=d["benchmark"],
-                system=d["system"],
-                experiment=d["experiment"],
-                fom_name=d["fom_name"],
-                value=d["value"],
-                units=d.get("units", ""),
-                manifest=dict(d.get("manifest") or {}),
-            ))
-        db._seq = itertools.count(max_seq + 1)
-        return db
 
     def __len__(self):
         return len(self._records)

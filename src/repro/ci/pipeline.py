@@ -15,9 +15,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import yaml
 
-from repro.perf import ContentStore, fingerprint
-
-__all__ = ["CiJob", "Pipeline", "parse_ci_config", "CiConfigError", "job_fingerprint"]
+__all__ = ["CiJob", "Pipeline", "parse_ci_config", "CiConfigError"]
 
 
 class CiConfigError(ValueError):
@@ -50,7 +48,7 @@ class CiJob:
     allow_failure: bool = False
     #: DAG dependencies within the pipeline (GitLab `needs:`)
     needs: List[str] = field(default_factory=list)
-    status: str = "created"  # created|pending|running|success|failed|skipped|cached
+    status: str = "created"  # created|pending|running|success|failed|skipped
     log: str = ""
     runner: Optional[str] = None
     run_as_user: Optional[str] = None
@@ -66,22 +64,6 @@ class CiJob:
         if "always" in self.retry_when:
             return True
         return reason is not None and reason in self.retry_when
-
-
-def job_fingerprint(job: CiJob) -> str:
-    """Content fingerprint of everything that determines a job's outcome:
-    its script, variables, tags, stage, and dependency names.  The commit
-    sha is deliberately *not* part of the key — content addressing means an
-    unchanged job re-runs for free across pipelines."""
-    return fingerprint({
-        "name": job.name,
-        "stage": job.stage,
-        "script": list(job.script),
-        "variables": dict(job.variables),
-        "tags": sorted(job.tags),
-        "needs": sorted(job.needs),
-        "allow_failure": job.allow_failure,
-    })
 
 
 @dataclass
@@ -234,7 +216,6 @@ def _execute_with_retry(job: CiJob, execute_job: Callable[[CiJob], tuple]) -> bo
 def run_pipeline(
     pipeline: Pipeline,
     execute_job: Callable[[CiJob], tuple],
-    job_cache: Optional[ContentStore] = None,
 ) -> Pipeline:
     """Run stages in order; a failed (non-allow_failure) job fails the
     pipeline and skips later stages.  Within a stage, `needs:` edges are
@@ -243,13 +224,6 @@ def run_pipeline(
     failures.  ``execute_job(job) -> (ok, log)`` or ``(ok, log, reason)``
     where ``reason`` is a GitLab failure class like
     ``"runner_system_failure"``.
-
-    With a ``job_cache``, jobs whose :func:`job_fingerprint` matches a prior
-    *clean* success (one attempt, no retries) are not re-executed: they get
-    status ``"cached"``, a provenance line naming the pipeline that produced
-    the result, and count as satisfied for dependents' ``needs:``.  Flaky
-    successes — jobs that only passed after a retry — are never cached, so
-    a cached status always stands for a deterministic pass.
     """
     pipeline.status = "running"
     failed = False
@@ -266,7 +240,7 @@ def run_pipeline(
                 pending.remove(job)
                 progress = True
                 bad_needs = [n for n in job.needs
-                             if status_of.get(n) not in ("success", "cached")]
+                             if status_of.get(n) != "success"]
                 if failed or bad_needs:
                     job.status = "skipped"
                     job.log = (
@@ -275,30 +249,10 @@ def run_pipeline(
                     )
                     status_of[job.name] = "skipped"
                     continue
-                key = job_fingerprint(job) if job_cache is not None else None
-                if key is not None:
-                    entry = job_cache.get(key)
-                    if entry is not None:
-                        job.status = "cached"
-                        job.attempts = 0
-                        job.failure_reason = None
-                        job.log = (
-                            f"# cached: identical job succeeded in pipeline "
-                            f"{entry['pipeline_id']} @ {entry['sha']} "
-                            f"(fingerprint {key})\n" + entry["log"]
-                        )
-                        status_of[job.name] = "cached"
-                        continue
                 job.status = "running"
                 ok = _execute_with_retry(job, execute_job)
                 job.status = "success" if ok else "failed"
                 status_of[job.name] = job.status
-                if ok and key is not None and job.attempts == 1:
-                    job_cache.put(key, {
-                        "log": job.log,
-                        "pipeline_id": pipeline.pipeline_id,
-                        "sha": pipeline.sha,
-                    })
                 if not ok and not job.allow_failure:
                     failed = True
         if pending:

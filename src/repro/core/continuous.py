@@ -374,7 +374,6 @@ class ContinuousBenchmarking:
         for exp in results:
             name = exp["name"]
             variables = self._epoch_variables(static[name], origin)
-            variables.update(exp.get("variables", ()))
             variables.update(stamp)
             info = meta.get(name)
             if info:
@@ -449,20 +448,9 @@ class ContinuousBenchmarking:
                 outcomes = workspace.run(self._executor(system, epoch))
             with region("epoch:analyze"):
                 analyzed = workspace.analyze()
-            # the line keeps an experiment's variables only where the run
-            # changed them from its set-up record's
             setup = self._workspace[2]
-            static = self._static(setup)
-            results = []
-            for exp in analyzed["experiments"]:
-                result = {k: exp[k] for k in RESULT_KEYS if k in exp}
-                ran = self._epoch_variables(static[exp["name"]], epoch)
-                changed = {k: v for k, v in
-                           self._relative(exp["variables"]).items()
-                           if ran.get(k) != v}
-                if changed:
-                    result["variables"] = changed
-                results.append(result)
+            results = [{k: exp[k] for k in RESULT_KEYS if k in exp}
+                       for exp in analyzed["experiments"]]
             # every run that was retried, flaky or not completed (a refused
             # run made 0 attempts) goes into the attempt history
             meta: Dict[str, Any] = {}

@@ -10,9 +10,8 @@ Two primitives shared by every layer of the reproduction:
   entries its own epochs ingested, each on that epoch's line, and puts
   them back on resume.
 
-Built on them: memoized concretization (:mod:`repro.spack.concretizer`),
-cached CI jobs (:mod:`repro.ci.pipeline`), and epoch-level result reuse
-(:mod:`repro.core.continuous`).  Stage timings are Caliper regions on the
+Built on them: memoized concretization (:mod:`repro.spack.concretizer`)
+and epoch-level result reuse (:mod:`repro.core.continuous`).  Stage timings are Caliper regions on the
 active session (:mod:`repro.analysis.caliper`); every ``fingerprint`` call
 is one.
 """

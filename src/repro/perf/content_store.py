@@ -1,7 +1,7 @@
 """ContentStore — a generic content-addressed cache with hit/miss accounting.
 
-Every incremental layer of the pipeline (memoized concretization, CI job
-reuse, epoch-level result replay) shares this one primitive: a map from
+Every incremental layer of the pipeline (memoized concretization,
+epoch-level result replay) shares this one primitive: a map from
 :func:`repro.perf.fingerprint` digests to previously computed results, with
 statistics good enough to gate CI on ("warm hit rate must stay ≥ 90%").
 

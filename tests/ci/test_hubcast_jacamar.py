@@ -1,8 +1,6 @@
 """Tests for Hubcast mirroring (§3.3.1), Jacamar execution (§3.3.2),
 the object store, and the metrics database — plus the full Figure 6 loop."""
 
-import json
-
 import pytest
 
 from repro.ci.github import GitHub
@@ -218,7 +216,7 @@ class TestMetricsDatabase:
         assert db.ingest_analysis("cts1", analysis) == 2
         assert db.query(fom_name="bandwidth")[0].manifest["n"] == "512"
         # one copy of the experiment's variables, shared by its records
-        first, second = db.query(experiment="saxpy_512")
+        first, second = db.query(benchmark="saxpy")
         assert first.manifest is second.manifest
         assert first.manifest is not analysis["experiments"][0]["variables"]
         assert db.to_records() == [
@@ -227,12 +225,3 @@ class TestMetricsDatabase:
              "units": units, "manifest": {"n": "512"}}
             for seq, name, value, units in ((1, "bandwidth", 5.0, "GB/s"),
                                             (2, "kernel_time", 0.001, "s"))]
-
-    def test_dump_load_roundtrip(self):
-        db = self._db()
-        again = MetricsDatabase.from_records(
-            json.loads(json.dumps(db.to_records())))
-        assert len(again) == len(db)
-        assert again.series("osu-micro-benchmarks", "cts1", "total_time",
-                            "n_ranks") == db.series(
-            "osu-micro-benchmarks", "cts1", "total_time", "n_ranks")

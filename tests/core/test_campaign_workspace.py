@@ -28,7 +28,6 @@ from repro.core.driver import benchpark_setup
 from repro.perf import ContentStore, fingerprint
 from repro.ramble.application import FigureOfMeritDef
 from repro.ramble.apps import builtin_applications
-from repro.ramble.modifiers import Modifier
 from repro.ramble.workspace import Workspace
 from repro.spack import repository
 from repro.spack.repository import Repository, builtin_repo
@@ -109,31 +108,6 @@ class TestDifferential:
             for record in campaign.db.query():
                 assert record.manifest["execute_experiment"].startswith(
                     "workspace/experiments/")
-
-    def test_modifier_env_key_stays_in_its_epoch(self, tmp_path, monkeypatch):
-        """A modifier active in epoch 0 writes ``env_*`` keys into that
-        epoch's experiments; epoch 1 runs copies of the set-up experiments
-        and must not see them."""
-
-        class Tag(Modifier):
-            def env_vars(self, experiment):
-                return {"EPOCH0_ONLY": "set"}
-
-        run, calls = Workspace.run, []
-
-        def run_tagging_first(self, executor, modifiers=()):
-            calls.append(self.path)
-            return run(self, executor, [Tag()] if len(calls) == 1 else modifiers)
-
-        monkeypatch.setattr(Workspace, "run", run_tagging_first)
-        campaign = ContinuousBenchmarking(
-            "stream/openmp", "cts1", tmp_path).run(2)
-        epoch0 = [r.manifest for r in campaign.db.query()
-                  if r.manifest["epoch"] == "0"]
-        epoch1 = [r.manifest for r in campaign.db.query()
-                  if r.manifest["epoch"] == "1"]
-        assert epoch0 and all(m["env_EPOCH0_ONLY"] == "set" for m in epoch0)
-        assert epoch1 and not any("env_EPOCH0_ONLY" in m for m in epoch1)
 
 
 # -- invalidation ------------------------------------------------------------

@@ -120,5 +120,3 @@ class TestDashboardReport:
                   {"epoch": "0"})
         report = render_report(db)
         assert "## fom_segments [seg/s] (mean)" in report
-        assert report == render_report(
-            MetricsDatabase.from_records(db.to_records()))

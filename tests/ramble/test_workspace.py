@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.ramble.modifiers import Modifier
 from repro.ramble.software import SoftwareError, merge_spack_sections, resolve_environment
 from repro.ramble.templates import DEFAULT_EXECUTE_TEMPLATE, TemplateError, render_template
 from repro.ramble.workspace import Workspace, WorkspaceError
@@ -158,6 +159,29 @@ class TestLifecycle:
             assert exp.variables["log_file"] == str(exp.log_file)
             assert exp.variables["execute_experiment"] == str(shared.script_path)
             assert exp.variables is not shared.variables
+
+    def test_rerooted_modifiers_stay_in_their_copies(self, tmp_path):
+        """A rerooted run's modifiers write ``env_*`` keys into its own
+        copies of the experiments only: neither the set-up experiments nor
+        a later rerooted run sees them."""
+
+        class Tag(Modifier):
+            def env_vars(self, experiment):
+                return {"FIRST_RUN_ONLY": "set"}
+
+        ws = Workspace.create(
+            tmp_path / "ws", config=figure10_config(n_values=("256",)))
+        ws.setup()
+        first = ws.rerooted(tmp_path / "epoch-0")
+        first.run(LocalExecutor(), [Tag()])
+        assert first.experiments and all(
+            e.variables["env_FIRST_RUN_ONLY"] == "set"
+            for e in first.experiments)
+        later = ws.rerooted(tmp_path / "epoch-1")
+        later.run(LocalExecutor())
+        for experiments in (ws.experiments, later.experiments):
+            assert experiments and not any(
+                "env_FIRST_RUN_ONLY" in e.variables for e in experiments)
 
     def test_reopened_experiments_keep_software(self, tmp_path):
         from repro.core.driver import benchpark_setup

@@ -1,12 +1,15 @@
-"""Importing the program loads no library it does not use.
+"""Importing the program loads no library it does not use, and every module
+of the program is imported by something that runs it.
 
 Every CI epoch and every ``benchpark`` call is a fresh process, so each
-import the package makes is paid on every run.  The checks run in a new
-interpreter: this one has already imported whatever the other tests used.
+import the package makes is paid on every run.  The import checks run in a
+new interpreter: this one has already imported whatever the other tests
+used.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
+REPO = SRC.parent
 
 PACKAGES = ["repro"] + [f"repro.{name}" for name in (
     "core", "core.cli", "spack", "archspec", "ramble", "systems",
@@ -80,3 +84,71 @@ def test_only_the_kept_facades_import():
                for node in ast.walk(tree)):
             importing.add(package)
     assert importing == FACADES
+
+
+#: the kernel CLIs the ``examples`` CI job runs with ``python -m``
+KERNEL_CLIS = ["stream", "saxpy", "amg2023", "osu", "quicksilver"]
+
+#: modules no root imports, each kept for the paper substrate it reproduces
+UNREACHED_ALLOWED = {
+    # archspec host detection (paper §3.1.3): the simulated systems carry
+    # their targets, so only a run on a real host would call it
+    "repro.archspec.detect",
+}
+
+
+def _program_modules():
+    """Every module under ``src/repro``, by dotted name, with its file."""
+    modules = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_names(path, package=""):
+    """Every dotted name ``path`` imports; ``from a import b`` yields both
+    ``a`` and ``a.b``, since ``b`` may be a module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[:len(parts) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_reached_from_a_root():
+    """A module that only tests import is code no campaign, bench, figure or
+    example runs.  The roots are the benches, examples and campaign
+    benchmark, the ``benchpark`` CLI, the kernel CLIs, and the Table 1
+    ``module:name`` strings that ``core/components.py`` imports."""
+    modules = _program_modules()
+    roots = {"repro.core.cli"} | {f"repro.benchmarks.{k}" for k in KERNEL_CLIS}
+    for folder in ("benchmarks", "examples", "campaignbench"):
+        for path in (REPO / folder).rglob("*.py"):
+            roots |= _imported_names(path)
+    roots |= set(re.findall(r'"(repro(?:\.\w+)+):\w+"', (
+        SRC / "repro" / "core" / "components.py").read_text()))
+    reached, todo = set(), [name for name in roots if name in modules]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        parts = name.split(".")
+        # importing a module runs every enclosing package's __init__
+        todo += [".".join(parts[:i]) for i in range(1, len(parts))]
+        path = modules[name]
+        package = (name if path.name == "__init__.py"
+                   else name.rpartition(".")[0])
+        todo += [n for n in _imported_names(path, package) if n in modules]
+    assert set(modules) - reached == UNREACHED_ALLOWED

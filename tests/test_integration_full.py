@@ -2,27 +2,23 @@
 layers at once, beyond what any single subsystem's tests cover.
 
 1. Federated continuous benchmarking: a PR triggers real benchmark runs at
-   multiple sites through Jacamar, FOMs land in one metrics DB, the
-   dashboard renders, and the PR merges only when all sites are green.
-2. Queue-aware campaign: workspace → batch scheduler → execution → analysis
-   → archive → restore → identical re-run.
+   two sites, each with its own Hubcast, GitLab and Jacamar; FOMs land in
+   one metrics DB, the dashboard renders, and Jacamar attributes every job.
+2. Campaign with archive: workspace → system executor → analysis →
+   archive → restore → identical re-setup.
 3. Reuse-concretized second campaign installs nothing new.
 """
 
-from pathlib import Path
-
-import pytest
-
 from repro.analysis.dashboard import render_report
-from repro.ci.federation import Federation
 from repro.ci.github import GitHub
-from repro.ci.gitlab import Runner
+from repro.ci.gitlab import GitLab, Runner
+from repro.ci.hubcast import Hubcast
 from repro.ci.jacamar import JacamarExecutor, SiteAccounts
 from repro.ci.metricsdb import MetricsDatabase
 from repro.core.driver import benchpark_setup
 from repro.ramble.archive import archive_workspace, restore_workspace
 from repro.ramble.workspace import Workspace
-from repro.systems.batch_executor import BatchExecutor
+from repro.systems.executor import SystemExecutor
 from repro.systems.registry import get_system
 
 CI_YAML = """
@@ -39,13 +35,13 @@ class TestFederatedContinuousBenchmarking:
         canonical = hub.create_repo("llnl", "benchpark")
         canonical.git.commit("main", "seed", "olga",
                              {".gitlab-ci.yml": CI_YAML})
-        fed = Federation(canonical)
         db = MetricsDatabase()
 
         site_systems = {"LLNL": "cts1", "AWS": "cloud-c6i"}
-        jacamars = {}
+        hubcasts, jacamars = {}, {}
         for site_name, system in site_systems.items():
-            site = fed.add_site(site_name, [system])
+            gitlab = GitLab(f"{site_name.lower()}-gitlab")
+            hubcasts[site_name] = Hubcast(canonical, gitlab)
             accounts = SiteAccounts(site_name, users={"site_admin"})
 
             def body(job, user, system=system, site_name=site_name):
@@ -60,7 +56,7 @@ class TestFederatedContinuousBenchmarking:
 
             jacamar = JacamarExecutor(accounts, body)
             jacamars[site_name] = jacamar
-            site.gitlab.register_runner(Runner(
+            gitlab.register_runner(Runner(
                 f"{site_name}-runner", [],
                 jacamar.bound_runner("contributor", approved_by="site_admin"),
             ))
@@ -72,11 +68,11 @@ class TestFederatedContinuousBenchmarking:
         pr = canonical.open_pull_request(fork, "exp", "new exp", "contributor")
         pr.approve("site_admin", is_admin=True)
 
-        results = fed.process_pr(pr)
-        assert all(p is not None and p.succeeded for p in results.values())
-        assert fed.all_sites_green(pr)
-        canonical.merge(pr.number)
-        assert pr.state == "merged"
+        pipelines = [hubcast.process_pr(pr) for hubcast in hubcasts.values()]
+        assert all(p is not None and p.succeeded for p in pipelines)
+        # each site mirrored the PR into its own GitLab
+        for hubcast in hubcasts.values():
+            assert f"pr-{pr.number}" in hubcast.mirror.git.branches
 
         # Both sites contributed to the shared metrics DB.
         assert {r.system for r in db.query()} == {"cts1", "cloud-c6i"}
@@ -85,10 +81,11 @@ class TestFederatedContinuousBenchmarking:
         # Jacamar attributed every job to the approver (contributor has no
         # account at either site).
         for jacamar in jacamars.values():
+            assert jacamar.audit_log
             assert all(e["ran_as"] == "site_admin" for e in jacamar.audit_log)
 
 
-class TestQueuedCampaignWithArchive:
+class TestCampaignWithArchive:
     CONFIG = {
         "ramble": {
             "variables": {"mpi_command": "srun -N {n_nodes} -n {n_ranks}",
@@ -102,13 +99,12 @@ class TestQueuedCampaignWithArchive:
         }
     }
 
-    def test_queue_run_archive_restore(self, tmp_path):
+    def test_run_archive_restore(self, tmp_path):
         ws = Workspace.create(tmp_path / "ws", config=self.CONFIG)
         ws.setup()
-        executor = BatchExecutor(get_system("cts1"))
-        outcomes = executor.run_workspace(ws)
-        assert all(o["state"] == "completed" for o in outcomes)
-        assert executor.makespan > 0
+        outcomes = ws.run(SystemExecutor(get_system("cts1")))
+        assert len(outcomes) == 2
+        assert all(o["returncode"] == 0 for o in outcomes)
         results = ws.analyze()
         assert all(e["status"] == "SUCCESS" for e in results["experiments"])
 
