@@ -26,7 +26,7 @@ from repro.systems.descriptor import InterconnectSpec
 from repro.systems.mpi_model import COLLECTIVES
 from .simmpi import SimWorld
 
-__all__ = ["run_collective", "OsuResult", "main"]
+__all__ = ["run_collective", "OsuResult", "run_command", "main"]
 
 
 @dataclass
@@ -121,18 +121,26 @@ def _verify_semantics(world: SimWorld, operation: str, n_doubles: int) -> None:
     # gather/scatter/alltoall/barrier verified in unit tests
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="osu_bcast")
-    parser.add_argument("--op", default="bcast", choices=sorted(COLLECTIVES))
-    parser.add_argument("--ranks", type=int, default=2)
-    parser.add_argument("--min-size", type=int, default=8)
-    parser.add_argument("--max-size", type=int, default=1 << 16)
-    parser.add_argument("--iterations", type=int, default=100)
-    args = parser.parse_args(argv)
-    result = run_collective(
-        args.op, args.ranks, args.min_size, args.max_size, args.iterations
+_PARSER = argparse.ArgumentParser(prog="osu_bcast")
+_PARSER.add_argument("--op", default="bcast", choices=sorted(COLLECTIVES))
+_PARSER.add_argument("--ranks", type=int, default=2)
+_PARSER.add_argument("--min-size", type=int, default=8)
+_PARSER.add_argument("--max-size", type=int, default=1 << 16)
+_PARSER.add_argument("--iterations", type=int, default=100)
+
+
+def run_command(argv: Optional[List[str]], ranks: int = 1,
+                interconnect: Optional[InterconnectSpec] = None) -> OsuResult:
+    """Run ``osu_bcast argv`` on max(``--ranks``, the launcher's ``ranks``)."""
+    args = _PARSER.parse_args(argv)
+    return run_collective(
+        args.op, max(args.ranks, ranks), args.min_size, args.max_size,
+        args.iterations, interconnect=interconnect,
     )
-    print(result.report())
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    print(run_command(argv).report())
     return 0
 
 

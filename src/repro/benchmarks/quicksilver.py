@@ -36,7 +36,7 @@ import numpy as np
 
 from .simmpi import SimWorld
 
-__all__ = ["run_quicksilver", "QuicksilverResult", "main"]
+__all__ = ["run_quicksilver", "QuicksilverResult", "run_command", "main"]
 
 
 @dataclass
@@ -143,18 +143,28 @@ def run_quicksilver(
     )
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="qs", description="Quicksilver-class MC transport proxy"
+)
+_PARSER.add_argument("-n", type=int, default=100_000, help="particles")
+_PARSER.add_argument("--slab", type=float, default=10.0,
+                     help="slab width in mean free paths")
+_PARSER.add_argument("--absorption", type=float, default=0.3)
+_PARSER.add_argument("--ranks", type=int, default=1)
+
+
+def run_command(argv: Optional[List[str]], ranks: int = 1,
+                interconnect=None) -> QuicksilverResult:
+    """Run ``qs argv`` on max(``--ranks``, the launcher's ``ranks``)."""
+    args = _PARSER.parse_args(argv)
+    n_ranks = max(args.ranks, ranks)
+    world = SimWorld(n_ranks, interconnect) if n_ranks > 1 else None
+    return run_quicksilver(args.n, args.slab, args.absorption,
+                           n_ranks=n_ranks, world=world)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qs", description="Quicksilver-class MC transport proxy"
-    )
-    parser.add_argument("-n", type=int, default=100_000, help="particles")
-    parser.add_argument("--slab", type=float, default=10.0,
-                        help="slab width in mean free paths")
-    parser.add_argument("--absorption", type=float, default=0.3)
-    parser.add_argument("--ranks", type=int, default=1)
-    args = parser.parse_args(argv)
-    result = run_quicksilver(args.n, args.slab, args.absorption,
-                             n_ranks=args.ranks)
+    result = run_command(argv)
     print(result.report())
     ok = result.absorbed + result.leaked == result.n_particles
     return 0 if ok else 1

@@ -31,7 +31,7 @@ import numpy as np
 
 from .simmpi import SimWorld
 
-__all__ = ["saxpy_kernel", "run_saxpy", "SaxpyResult", "main"]
+__all__ = ["saxpy_kernel", "run_saxpy", "SaxpyResult", "run_command", "main"]
 
 #: The scalar the paper's kernel calls ``A``.
 A = 2.0
@@ -133,16 +133,25 @@ def run_saxpy(
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="saxpy", description="saxpy micro-benchmark (paper §4.1)"
-    )
-    parser.add_argument("-n", type=int, default=1, help="problem size")
-    parser.add_argument("--ranks", type=int, default=1, help="simulated MPI ranks")
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="saxpy", description="saxpy micro-benchmark (paper §4.1)"
+)
+_PARSER.add_argument("-n", type=int, default=1, help="problem size")
+_PARSER.add_argument("--ranks", type=int, default=1, help="simulated MPI ranks")
+_PARSER.add_argument("--repeats", type=int, default=3)
 
-    result = run_saxpy(args.n, n_ranks=args.ranks, repeats=args.repeats)
+
+def run_command(argv: Optional[List[str]], ranks: int = 1,
+                interconnect=None) -> SaxpyResult:
+    """Run ``saxpy argv`` on max(``--ranks``, the launcher's ``ranks``)."""
+    args = _PARSER.parse_args(argv)
+    n_ranks = max(args.ranks, ranks)
+    world = SimWorld(n_ranks, interconnect) if n_ranks > 1 else None
+    return run_saxpy(args.n, n_ranks=n_ranks, repeats=args.repeats, world=world)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    result = run_command(argv)
     print(result.report())
     return 0 if result.correct else 1
 

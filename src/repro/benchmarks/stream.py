@@ -41,7 +41,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["run_stream", "StreamResult", "main", "KERNELS"]
+__all__ = ["run_stream", "StreamResult", "run_command", "main", "KERNELS"]
 
 KERNELS = ("Copy", "Scale", "Add", "Triad")
 _Q = 3.0
@@ -142,12 +142,21 @@ def _close(x: np.ndarray, expected: float) -> bool:
     return bool(np.allclose((x.min(), x.max()), expected))
 
 
+_PARSER = argparse.ArgumentParser(prog="stream")
+_PARSER.add_argument("-n", "--array-size", type=int, default=1_000_000)
+_PARSER.add_argument("--ntimes", type=int, default=10)
+
+
+def run_command(argv: Optional[List[str]], ranks: int = 1,
+                interconnect=None) -> StreamResult:
+    """Run ``stream argv``; STREAM measures one node's memory, so it
+    ignores the launcher's ``ranks`` and the ``interconnect``."""
+    args = _PARSER.parse_args(argv)
+    return run_stream(args.array_size, args.ntimes)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="stream")
-    parser.add_argument("-n", "--array-size", type=int, default=1_000_000)
-    parser.add_argument("--ntimes", type=int, default=10)
-    args = parser.parse_args(argv)
-    result = run_stream(args.array_size, args.ntimes)
+    result = run_command(argv)
     print(result.report())
     return 0 if result.valid else 1
 

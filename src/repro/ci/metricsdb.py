@@ -94,19 +94,11 @@ class MetricsDatabase:
     # -- queries -----------------------------------------------------------
     @staticmethod
     def is_flaky(rec: MetricRecord) -> bool:
-        """True when the record came from a retried (non-converged) run —
-        the resilience layer tags those with ``flaky``/``attempts`` in the
-        manifest."""
-        flag = rec.manifest.get("flaky")
-        if isinstance(flag, str):
-            if flag.lower() in ("true", "1", "yes"):
-                return True
-        elif flag:
-            return True
-        try:
-            return int(float(rec.manifest.get("attempts", 1))) > 1
-        except (TypeError, ValueError):
-            return False
+        """True when the record came from a retried run: the continuous
+        loop stamps ``flaky="true"`` or ``attempts`` above ``"1"`` into its
+        manifest (a refused run's ``"0"`` is not flaky)."""
+        return (rec.manifest.get("flaky") == "true"
+                or int(rec.manifest.get("attempts", 1)) > 1)
 
     def query(self, benchmark: Optional[str] = None, system: Optional[str] = None,
               fom_name: Optional[str] = None,

@@ -4,12 +4,13 @@ The paper's workflow step 8 submits ``execute_experiment`` scripts to the
 system scheduler.  Offline we provide two executors with the same interface
 (``execute(experiment) -> {"returncode", "stdout", "seconds"}``):
 
-* :class:`LocalExecutor` — runs the benchmark **for real**, in process: the
-  command line from the rendered script is parsed and dispatched to the
-  Python benchmark implementations (saxpy/amg/stream/osu).  Rank counts are
-  honoured through SimMPI, so multi-rank runs still execute genuine
-  numerics.
-* :class:`SystemExecutor` — the same dispatch, but bound to a
+* :class:`LocalExecutor` — runs the benchmark **for real**, in process:
+  each command line of the rendered script runs as the benchmark binary
+  would run it.  :data:`PROGRAMS` names the kernel module behind each
+  program, and that module's own CLI parser reads the rest of the command
+  line; nothing here knows a benchmark's flags.  Rank counts are honoured
+  through SimMPI, so multi-rank runs still execute genuine numerics.
+* :class:`SystemExecutor` — the same commands, but bound to a
   :class:`~repro.systems.descriptor.SystemDescriptor`: communication time
   comes from the system's interconnect, compute time is rescaled by the
   system's hardware rates relative to the measuring host, and run-to-run
@@ -18,14 +19,20 @@ system scheduler.  Offline we provide two executors with the same interface
 
 Both append the scheduler preamble handling a real submission would do, so
 the pipeline (script → run → log → FOM regex) is identical either way.
-Each benchmark call is a ``kernel.<name>`` Caliper region on the active
+A command line the kernel's parser rejects logs an ``ERROR:`` line and
+returns 2, an unknown program 127; the other commands still run.  Each
+benchmark call is a ``kernel.<name>`` Caliper region on the active
 session, inside :class:`SystemExecutor`'s ``executor.execute`` region.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
+import io
 import shlex
+import sys
 import time
 from typing import Any, Dict, Iterator, List
 
@@ -38,7 +45,11 @@ __all__ = ["LocalExecutor", "SystemExecutor", "ExecutorError", "parse_script_com
 
 
 class ExecutorError(RuntimeError):
-    pass
+    """A command that did not run; ``returncode`` is its exit status."""
+
+    def __init__(self, message: str, returncode: int = 127):
+        super().__init__(message)
+        self.returncode = returncode
 
 
 def parse_script_commands(script_text: str) -> List[List[str]]:
@@ -105,96 +116,41 @@ def _launches(experiment) -> Iterator[tuple[List[str], int]]:
         yield argv, max(launcher_ranks, ctx_ranks)
 
 
-class _Dispatch:
-    """Maps benchmark program names to their Python implementations."""
+#: program name -> (its kernel module in ``repro.benchmarks``, Caliper region)
+PROGRAMS = {
+    "saxpy": ("saxpy", "kernel.saxpy"),
+    "amg": ("amg2023", "kernel.amg"),
+    "stream": ("stream", "kernel.stream"),
+    "qs": ("quicksilver", "kernel.quicksilver"),
+    "osu_bcast": ("osu", "kernel.osu"),
+}
 
-    def __init__(self, interconnect=None):
-        self.interconnect = interconnect
 
-    def run(self, argv: List[str], n_ranks: int) -> str:
-        if not argv:
-            raise ExecutorError("empty command")
-        program = argv[0].rsplit("/", 1)[-1]
-        handler = getattr(self, f"_run_{program.replace('-', '_')}", None)
-        if handler is None:
-            raise ExecutorError(
-                f"no benchmark implementation for program {program!r}"
-            )
-        return handler(argv[1:], n_ranks)
-
-    @staticmethod
-    def _flag(argv: List[str], name: str, default: str) -> str:
-        for i, tok in enumerate(argv):
-            if tok == name and i + 1 < len(argv):
-                return argv[i + 1]
-        return default
-
-    def _world(self, n_ranks: int):
-        from repro.benchmarks.simmpi import SimWorld
-
-        if n_ranks <= 1:
-            return None
-        return SimWorld(n_ranks, self.interconnect)
-
-    def _run_saxpy(self, argv: List[str], n_ranks: int) -> str:
-        from repro.benchmarks.saxpy import run_saxpy
-
-        n = int(self._flag(argv, "-n", "1"))
-        with region("kernel.saxpy"):
-            result = run_saxpy(n, n_ranks=n_ranks, world=self._world(n_ranks))
-        return result.report() + "\n"
-
-    def _run_amg(self, argv: List[str], n_ranks: int) -> str:
-        from repro.benchmarks.amg import run_amg
-
-        problem = int(self._flag(argv, "-problem", "1"))
-        n = int(self._flag(argv, "-n", "16"))
-        ranks = int(self._flag(argv, "-ranks", str(n_ranks)))
-        with region("kernel.amg"):
-            result = run_amg(problem=problem, n=n, n_ranks=max(ranks, n_ranks),
-                             world=self._world(max(ranks, n_ranks)))
-        return result.report() + "\n"
-
-    def _run_stream(self, argv: List[str], n_ranks: int) -> str:
-        from repro.benchmarks.stream import run_stream
-
-        n = int(self._flag(argv, "-n", "1000000"))
-        ntimes = int(self._flag(argv, "--ntimes", "10"))
-        with region("kernel.stream"):
-            result = run_stream(n, ntimes)
-        return result.report() + "\n"
-
-    def _run_qs(self, argv: List[str], n_ranks: int) -> str:
-        from repro.benchmarks.quicksilver import run_quicksilver
-
-        n = int(self._flag(argv, "-n", "100000"))
-        slab = float(self._flag(argv, "--slab", "10.0"))
-        ranks = int(self._flag(argv, "--ranks", str(n_ranks)))
-        with region("kernel.quicksilver"):
-            result = run_quicksilver(n, slab, n_ranks=max(ranks, n_ranks),
-                                     world=self._world(max(ranks, n_ranks)))
-        return result.report() + "\n"
-
-    def _run_osu_bcast(self, argv: List[str], n_ranks: int) -> str:
-        from repro.benchmarks.osu import run_collective
-
-        op = self._flag(argv, "--op", "bcast")
-        ranks = int(self._flag(argv, "--ranks", str(n_ranks)))
-        max_size = int(self._flag(argv, "--max-size", "65536"))
-        iterations = int(self._flag(argv, "--iterations", "100"))
-        with region("kernel.osu"):
-            result = run_collective(
-                op, n_ranks=max(ranks, n_ranks), max_size=max_size,
-                iterations=iterations, interconnect=self.interconnect,
-            )
-        return result.report() + "\n"
+def _run_program(argv: List[str], n_ranks: int, interconnect=None) -> str:
+    """Run one launched command in process and return its output: the
+    program's kernel module parses the command line with its own CLI parser
+    and runs on at least ``n_ranks`` ranks.  A command line that parser
+    rejects exits 2 with argparse's usage on stderr, as the binary would;
+    both are kept from the process and raised as an :class:`ExecutorError`.
+    Commands run one at a time, so stderr is redirected for this call only."""
+    program = argv[0].rsplit("/", 1)[-1] if argv else ""
+    if program not in PROGRAMS:
+        raise ExecutorError(f"no benchmark implementation for program {program!r}")
+    module, name = PROGRAMS[program]
+    kernel = importlib.import_module(f"repro.benchmarks.{module}")
+    stderr = io.StringIO()
+    try:
+        with region(name), contextlib.redirect_stderr(stderr):
+            result = kernel.run_command(argv[1:], n_ranks, interconnect)
+    except SystemExit:
+        message = stderr.getvalue().rstrip().rpartition("\n")[2]
+        raise ExecutorError(message, returncode=2) from None
+    sys.stderr.write(stderr.getvalue())
+    return result.report() + "\n"
 
 
 class LocalExecutor:
     """Run experiments for real on the current host."""
-
-    def __init__(self):
-        self.dispatch = _Dispatch()
 
     def execute(self, experiment) -> Dict[str, Any]:
         out = []
@@ -202,10 +158,10 @@ class LocalExecutor:
         returncode = 0
         for argv, n_ranks in _launches(experiment):
             try:
-                out.append(self.dispatch.run(argv, n_ranks))
+                out.append(_run_program(argv, n_ranks))
             except ExecutorError as e:
                 out.append(f"ERROR: {e}\n")
-                returncode = 127
+                returncode = e.returncode
         return {
             "returncode": returncode,
             "stdout": "".join(out),
@@ -218,7 +174,6 @@ class SystemExecutor:
 
     def __init__(self, system: SystemDescriptor, epoch: int = 0):
         self.system = system
-        self.dispatch = _Dispatch(interconnect=system.interconnect)
         #: benchmarking epoch, salted into the jitter so continuous runs of
         #: the same experiment see realistic run-to-run variation
         self.epoch = epoch
@@ -267,10 +222,10 @@ class SystemExecutor:
                 returncode = 1
                 continue
             try:
-                text = self.dispatch.run(argv, n_ranks)
+                text = _run_program(argv, n_ranks, self.system.interconnect)
             except ExecutorError as e:
                 out.append(f"ERROR: {e}\n")
-                returncode = 127
+                returncode = e.returncode
                 continue
             out.append(scale_compute_time(
                 text, self.system, noise=self._noise(experiment.name),

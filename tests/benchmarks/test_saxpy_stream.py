@@ -72,6 +72,14 @@ class TestRunSaxpy:
         out = capsys.readouterr().out
         assert "Kernel done" in out
 
+    def test_cli_rejects_a_malformed_argument_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            saxpy_main(["-n", "abc"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: saxpy")
+        assert "invalid int value: 'abc'" in err
+
     @given(st.integers(min_value=2, max_value=16))
     @settings(max_examples=10, deadline=None)
     def test_rank_invariant_correctness(self, ranks):

@@ -48,3 +48,18 @@ class TestIndexedQuery:
         # opt back in to the raw view when wanted
         raw = db.aggregate("triad_bw", group_by="system", exclude_flaky=False)
         assert raw["cts1"]["count"] == 3
+
+    def test_flaky_reads_what_the_continuous_loop_stamps(self):
+        """The loop writes ``flaky="true"``/``"false"`` and ``str(int)``
+        attempts; a refused run made 0 attempts and is not flaky."""
+        db = MetricsDatabase()
+        stamps = [({"flaky": "false", "attempts": "1"}, False),
+                  ({"flaky": "true", "attempts": "1"}, True),
+                  ({"flaky": "false", "attempts": "2"}, True),
+                  ({"flaky": "false", "attempts": "0"}, False),
+                  ({}, False)]
+        for i, (manifest, _) in enumerate(stamps):
+            db.record("stream", "cts1", f"e{i}", "triad_bw", 1.0,
+                      manifest=manifest)
+        assert [db.is_flaky(r) for r in db.query()] == \
+            [flaky for _, flaky in stamps]

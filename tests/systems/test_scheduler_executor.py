@@ -1,8 +1,12 @@
 """Tests for the batch scheduler simulator and the experiment executors."""
 
+import importlib
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.caliper import CaliperSession
 from repro.systems.descriptor import InterconnectSpec, SystemDescriptor
 from repro.systems.executor import (
     ExecutorError,
@@ -196,6 +200,10 @@ class _FakeExperiment:
         self.log_file = tmp_path / f"{name}.out"
 
 
+#: both executors, each built fresh per run
+EXECUTORS = [LocalExecutor, lambda: SystemExecutor(get_system("cts1"))]
+
+
 class TestExecutors:
     def test_local_runs_saxpy(self, tmp_path):
         exp = _FakeExperiment(
@@ -241,6 +249,92 @@ class TestExecutors:
         result = LocalExecutor().execute(exp)
         assert "ranks = 4" in result["stdout"]
         assert "FOM_Solve" in result["stdout"]
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=["local", "cts1"])
+    @pytest.mark.parametrize("command, module, runner, passed", [
+        ("stream --array-size 5000 --ntimes 2", "stream", "run_stream",
+         {"array_size": 5000}),
+        ("qs -n 1000 --absorption 0.9", "quicksilver", "run_quicksilver",
+         {"absorption_ratio": 0.9}),
+        ("amg -n 6 -solver amg -smoother gauss_seidel", "amg", "run_amg",
+         {"solver": "amg", "smoother": "gauss_seidel"}),
+        ("saxpy -n 64 --repeats 5", "saxpy", "run_saxpy", {"repeats": 5}),
+        ("osu_bcast --ranks 4 --min-size 64 --max-size 128 --iterations 2",
+         "osu", "run_collective", {"min_size": 64}),
+    ], ids=["stream", "qs", "amg", "saxpy", "osu_bcast"])
+    def test_honours_every_flag_of_the_kernel_cli(
+            self, tmp_path, monkeypatch, executor, command, module, runner,
+            passed):
+        """The runner gets what the kernel's own CLI makes of the command,
+        flags the CLI alone used to read included."""
+        kernel = importlib.import_module(f"repro.benchmarks.{module}")
+        real = getattr(kernel, runner)
+        seen = {}
+
+        def spy(*args, **kwargs):
+            seen.update(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, runner, spy)
+        exp = _FakeExperiment(tmp_path, f"#!/bin/bash\n{command}\n")
+        assert executor().execute(exp)["returncode"] == 0
+        assert seen.items() >= passed.items()
+
+    @pytest.mark.parametrize("executor", EXECUTORS, ids=["local", "cts1"])
+    @pytest.mark.parametrize("command, error", [
+        ("saxpy -n abc", "saxpy: error: argument -n: invalid int value: 'abc'"),
+        ("amg -problem 4", "amg: error: argument -problem: invalid choice: 4"),
+        ("stream --bogus 1", "stream: error: unrecognized arguments: --bogus 1"),
+    ], ids=["type", "choice", "unrecognized"])
+    def test_rejected_command_line_is_an_error_line(
+            self, tmp_path, capfd, executor, command, error):
+        """A command the kernel's parser rejects returns 2 with an ``ERROR:``
+        line, writes nothing to the process's stderr, and the script's
+        other commands still run."""
+        exp = _FakeExperiment(tmp_path, f"#!/bin/bash\n{command}\nsaxpy -n 64\n")
+        result = executor().execute(exp)
+        assert result["returncode"] == 2
+        assert f"ERROR: {error}" in result["stdout"]
+        assert "Kernel done" in result["stdout"]
+        assert capfd.readouterr().err == ""
+
+    def test_rejected_command_line_completes_the_epoch_uncached(
+            self, tmp_path, monkeypatch, capfd):
+        """The retrying executor passes every exception on, so a rejected
+        command must not raise: the epoch completes, and is not cached."""
+        from repro.core.continuous import ContinuousBenchmarking
+        from repro.systems import executor
+
+        parse = executor.parse_script_commands
+        monkeypatch.setattr(executor, "parse_script_commands",
+                            lambda text: [["saxpy", "-n", "abc"]] + parse(text))
+        campaign = ContinuousBenchmarking("saxpy/openmp", "cts1", tmp_path)
+        campaign.run(1)
+        assert campaign.epochs_run == 1
+        assert campaign.result_cache.stats()["entries"] == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, region", [
+        ("saxpy -n 64", "kernel.saxpy"),
+        ("amg -n 6", "kernel.amg"),
+        ("stream -n 5000 --ntimes 2", "kernel.stream"),
+        ("qs -n 1000", "kernel.quicksilver"),
+        ("osu_bcast --ranks 4 --max-size 64 --iterations 2", "kernel.osu"),
+    ], ids=["saxpy", "amg", "stream", "qs", "osu_bcast"])
+    def test_each_program_runs_in_its_kernel_region(self, tmp_path, command,
+                                                    region):
+        """One ``kernel.<name>`` region per command, under
+        ``executor.execute``: the names the campaign benchmark's span map
+        reads."""
+        exp = _FakeExperiment(tmp_path, f"#!/bin/bash\n{command}\n{command}\n")
+        session = CaliperSession()
+        with session.activate():
+            assert SystemExecutor(get_system("cts1")).execute(exp)[
+                "returncode"] == 0
+        regions = session.regions()
+        assert regions[f"executor.execute/{region}"].visits == 2
+        assert [path for path in regions if path.startswith("executor.execute/")
+                and path.count("/") == 1] == [f"executor.execute/{region}"]
 
 
 class TestGpuVariantExecution:
